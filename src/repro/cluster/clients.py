@@ -161,46 +161,37 @@ class OpenLoopClient(ClusterClient):
         self.stream = stream
 
     def _spawn(self) -> None:
-        self.sim.spawn(self._arrivals())
+        self.sim.call_later(0.0, self._start_arrivals)
 
-    def _arrivals(self) -> Generator[Any, Any, None]:
-        # The hottest client loop in the repo (every open-loop request
-        # passes through once): hoist the per-iteration lookups and use
-        # bound methods for the hooks instead of constructing two
-        # closures per request.
-        stream = self.stream
-        rng = stream.rng()
-        sim = self.sim
-        timeout = sim.timeout
-        next_gap_ns = stream.next_gap_ns
-        make_request = stream.make_request
-        submit = self.service.submit
-        complete = self._complete
-        drop = self._drop
-        duration_ns = stream.duration_ns
-        diurnal = getattr(stream, "diurnal", None)
-        if diurnal is not None:
+    # The hottest client path in the repo (every open-loop request passes
+    # through once), so it is a callback chain, not a process: each
+    # arrival is one heap entry that submits and schedules the next.
+
+    def _start_arrivals(self) -> None:
+        self._rng = self.stream.rng()
+        diurnal = getattr(self.stream, "diurnal", None)
+        self._rate_at = diurnal.rate_at if diurnal is not None else None
+        self._schedule_arrival()
+
+    def _schedule_arrival(self) -> None:
+        gap = self.stream.next_gap_ns(self._rng)
+        if self._rate_at is not None:
             # Diurnal pacing (PopulationStream): divide each Poisson gap
-            # by the rate factor at the instant the gap is drawn.  A
-            # separate loop keeps the undecorated hot path byte-for-byte
-            # identical for plain streams (golden sweeps pin it).
-            rate_at = diurnal.rate_at
-            while True:
-                yield timeout(next_gap_ns(rng) / rate_at(sim.now))
-                if sim.now >= duration_ns:
-                    break
-                self.submitted += 1
-                submit(make_request(rng), on_complete=complete,
-                       on_drop=drop)
+            # by the rate factor at the instant the gap is drawn.  Plain
+            # streams skip the division, so their arithmetic is
+            # untouched (golden sweeps pin it).
+            gap /= self._rate_at(self.sim.now)
+        self.sim.call_later(gap, self._arrive)
+
+    def _arrive(self) -> None:
+        stream = self.stream
+        if self.sim.now >= stream.duration_ns:
             self._done()
             return
-        while True:
-            yield timeout(next_gap_ns(rng))
-            if sim.now >= duration_ns:
-                break
-            self.submitted += 1
-            submit(make_request(rng), on_complete=complete, on_drop=drop)
-        self._done()
+        self.submitted += 1
+        self.service.submit(stream.make_request(self._rng),
+                            on_complete=self._complete, on_drop=self._drop)
+        self._schedule_arrival()
 
     def _complete(self, request: OffloadRequest, device, cost) -> None:
         self._record_completion(request)

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import ServiceError
 from repro.hw.engine import CdpuDevice, Placement
 from repro.service.model import CostTable, DeviceCostModel, ModeledCost
 from repro.service.request import OffloadRequest
-from repro.sim.engine import Simulator, Store
+from repro.sim.engine import Event, Simulator, Store
 from repro.sim.stats import ThroughputTracker
 from repro.telemetry import DISABLED
 from repro.virt.qos import FairArbiter, FcfsArbiter, VfRequest
@@ -76,9 +77,8 @@ class Batcher:
         if len(self._buffer) >= self.batch_size:
             self.flush_now()
         elif len(self._buffer) == 1 and self.timeout_ns is not None:
-            generation = self._generation
             self.sim.call_later(self.timeout_ns,
-                                lambda: self._expire(generation))
+                                partial(self._expire, self._generation))
 
     def _expire(self, generation: int) -> None:
         if generation == self._generation and self._buffer:
@@ -114,6 +114,10 @@ class _Submission:
                           None] | None
     #: When the request entered this device's queue (telemetry only).
     enqueue_ns: float = 0.0
+    #: When the doorbell ring finished and the pipeline began.
+    entry_ns: float = 0.0
+    #: Engine occupancy, derated at engine entry.
+    engine_ns: float = 0.0
 
 
 class FleetDevice:
@@ -167,7 +171,7 @@ class FleetDevice:
         self.batcher = Batcher(sim, batch_size, batch_timeout_ns,
                                self._launch_batch)
         self._batch_queue = Store(sim)
-        sim.spawn(self._submitter())
+        sim.call_later(0.0, self._await_batch)
         #: Per-op precomputed cost tables (:class:`~repro.service.model.
         #: CostTable`), attached at cluster assembly and shared across
         #: identical fleet members; empty means predict off the live
@@ -333,48 +337,77 @@ class FleetDevice:
         self.batcher.add(_Submission(request, cost, on_complete,
                                      enqueue_ns=now))
 
-    # -- simulation processes --------------------------------------------------
+    # -- data plane ------------------------------------------------------------
+    #
+    # Each request walks the paper's Fig. 2 stages — doorbell, pre,
+    # engine, post — as a chain of kernel callbacks, one heap entry per
+    # hop, so no stage pays a generator resume.  The push order of those
+    # entries fixes the event interleaving the golden run pins: adding,
+    # dropping or reordering a hop is a semantic change.
 
     def _launch_batch(self, batch: list[_Submission]) -> None:
         self.batches_submitted += 1
         self._batch_queue.put(batch)
 
-    def _submitter(self) -> Generator[Any, Any, None]:
+    def _await_batch(self) -> None:
         # The submission path is serial per device: each batch rings the
         # doorbell once, so batching amortizes the ring across the batch
         # while back-to-back singleton submissions pay it every time.
-        while True:
-            batch = yield self._batch_queue.get()
-            yield self.sim.timeout(max(s.cost.submit_ns for s in batch))
-            for submission in batch:
-                self.sim.spawn(self._serve(submission))
+        self._batch_queue.get().add_callback(self._ring)
 
-    def _serve(self, submission: _Submission) -> Generator[Any, Any, None]:
-        cost = submission.cost
-        entry_ns = self.sim.now
-        if cost.pre_ns > 0:
-            yield self.sim.timeout(cost.pre_ns)
-        vf_index = (submission.request.tenant % self._vf_count
-                    if self._vf_count else 0)
+    def _ring(self, event: Event) -> None:
+        batch = event.value
+        self.sim.call_later(max(s.cost.submit_ns for s in batch),
+                            partial(self._rung, batch))
+
+    def _rung(self, batch: list[_Submission]) -> None:
+        call_later = self.sim.call_later
+        serve = self._serve
+        for submission in batch:
+            call_later(0.0, partial(serve, submission))
+        self._await_batch()
+
+    def _serve(self, submission: _Submission) -> None:
+        submission.entry_ns = self.sim.now
+        pre_ns = submission.cost.pre_ns
+        if pre_ns > 0:
+            self.sim.call_later(pre_ns, partial(self._enter_engine,
+                                                submission))
+        else:
+            self._enter_engine(submission)
+
+    def _enter_engine(self, submission: _Submission) -> None:
+        request = submission.request
+        vf_index = request.tenant % self._vf_count if self._vf_count else 0
         # Derate sampled at engine-entry time: a brown-out mid-run slows
         # queued work too, exactly like a clock throttle would.
-        engine_ns = cost.engine_ns / self.speed_factor
-        yield self.arbiter.submit(VfRequest(
+        engine_ns = submission.cost.engine_ns / self.speed_factor
+        submission.engine_ns = engine_ns
+        self.arbiter.submit(VfRequest(
             vf_index=vf_index,
-            nbytes=submission.request.nbytes,
+            nbytes=request.nbytes,
             service_ns=engine_ns,
-        ))
-        if cost.post_ns > 0:
-            yield self.sim.timeout(cost.post_ns)
+        )).add_callback(partial(self._leave_engine, submission))
+
+    def _leave_engine(self, submission: _Submission, event: Event) -> None:
+        post_ns = submission.cost.post_ns
+        if post_ns > 0:
+            self.sim.call_later(post_ns, partial(self._finish, submission))
+        else:
+            self._finish(submission)
+
+    def _finish(self, submission: _Submission) -> None:
+        cost = submission.cost
+        request = submission.request
         self.inflight -= 1
         self.backlog_ns = max(self.backlog_ns - cost.engine_ns, 0.0)
         self.completed += 1
-        self.throughput.record(submission.request.nbytes, engine_ns)
+        self.throughput.record(request.nbytes, submission.engine_ns)
         tel = self.telemetry
         if tel.tracing:
-            request = submission.request
             # ``dispatch`` covers batching + the shared doorbell ring;
             # ``serve`` is the device's own pre/engine/post pipeline.
+            entry_ns = submission.entry_ns
             tel.span(self.name, "dispatch", submission.enqueue_ns,
                      entry_ns, {"req": request.trace_id})
             tel.span(self.name, "serve", entry_ns, self.sim.now, {
@@ -382,4 +415,4 @@ class FleetDevice:
                 "tenant": request.tenant,
             })
         if submission.on_complete is not None:
-            submission.on_complete(submission.request, self, cost)
+            submission.on_complete(request, self, cost)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import FleetConfigError, ServiceError
 from repro.hw.cpu import CpuSoftwareDevice
@@ -42,7 +42,7 @@ from repro.service.model import DeviceCostModel, ModeledCost
 from repro.service.policy import DispatchPolicy, make_policy
 from repro.service.request import OffloadRequest, OpenLoopStream
 from repro.service.scheduler import SchedulerCore, ServiceMetrics
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -196,7 +196,7 @@ class OffloadService:
         return self.scheduler.submit(request, on_complete=on_complete,
                                      on_drop=on_drop)
 
-    # -- open-loop driving -----------------------------------------------------
+    # -- stream end ------------------------------------------------------------
 
     def flush(self) -> None:
         """Flush every device's partially-filled batch immediately.
@@ -209,28 +209,6 @@ class OffloadService:
         """
         self.scheduler.drain_mode = True
         self.scheduler.flush_batches()
-
-    def drive(self, stream: OpenLoopStream) -> Process:
-        """Spawn the arrival process for ``stream`` on the simulator.
-
-        Legacy single-stream driver: it owns the measurement window and
-        flushes at stream end itself, so it cannot share a simulation
-        with other traffic sources.  Multi-client runs (and any change
-        to the arrival/flush semantics here) go through
-        :class:`repro.cluster.clients.OpenLoopClient`, which keeps an
-        equivalent loop under the session's coordination.
-        """
-        self.measure_until_ns = stream.duration_ns
-
-        def arrivals() -> Generator[Any, Any, None]:
-            rng = stream.rng()
-            while True:
-                yield self.sim.timeout(stream.next_gap_ns(rng))
-                if self.sim.now >= stream.duration_ns:
-                    break
-                self.submit(stream.make_request(rng))
-            self.flush()
-        return self.sim.spawn(arrivals())
 
     # -- reporting -------------------------------------------------------------
 

@@ -8,18 +8,26 @@ cycle models in :mod:`repro.hw`, so microbenchmark and system-level
 results share one timing source.
 
 The kernel is the hottest code in the repository — every simulated
-request crosses it dozens of times — so the implementation trades a
-little uniformity for allocation-free fast paths:
+request crosses its heap six or seven times — so the implementation
+trades a little uniformity for allocation-free fast paths:
 
 * the event queue holds ``(when, seq, item)`` entries where ``item``
   is either an :class:`Event` to fire or a bare callable to invoke, so
-  bookkeeping callbacks (process bootstrap, batch timers, late-waiter
-  relays) schedule without constructing an ``Event`` each;
+  callbacks (process bootstrap, data-plane hops, batch timers,
+  late-waiter relays) schedule without constructing an ``Event`` each;
 * ``Event._callbacks`` stores ``None`` / a single callable / a list,
   in that order of escalation — almost every event has exactly one
   waiter, so the common case allocates nothing;
 * :meth:`Simulator.run` hoists its lookups and fires all entries that
   share a timestamp in one inner loop.
+
+The per-request path does not use processes at all: the device
+submitter and pre/engine/post pipeline, the QoS engine loops and the
+open-loop arrivals are chains of bare callbacks (``functools.partial``
+objects and bound methods) that hop with :meth:`Simulator.call_later`
+and :meth:`Event.add_callback`, so ``run`` tests for those two types
+first.  Generator processes remain for the control plane, the block
+store and closed-loop clients, where readability beats the resume cost.
 
 Determinism is unchanged: entries fire in ``(when, seq)`` order and
 ``seq`` is a single monotone counter, so two runs of the same seeded
@@ -42,7 +50,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
+from types import MethodType
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
@@ -218,7 +228,11 @@ class Simulator:
             while queue and queue[0][0] == when:
                 item = heappop(queue)[2]
                 cls = item.__class__
-                if cls is Event or cls is Process:
+                # Bare callbacks (the per-request data plane) are the
+                # common entry, so they are tested first.
+                if cls is partial or cls is MethodType:
+                    item()
+                elif cls is Event or cls is Process:
                     item._fire()
                 elif isinstance(item, Event):
                     item._fire()

@@ -379,8 +379,9 @@ class CompressedBlockStore:
     def drive(self, stream: MixedStream) -> Process:
         """Spawn the mixed read/write arrival process for ``stream``.
 
-        Legacy single-stream driver (see the note on
-        :meth:`OffloadService.drive`); cluster runs go through
+        Legacy single-stream driver: it owns the measurement window
+        and flushes at stream end itself, so it cannot share a
+        simulation with other traffic sources.  Cluster runs go through
         :class:`repro.cluster.clients.StoreClient`, which keeps an
         equivalent loop under the session's coordination.
         """

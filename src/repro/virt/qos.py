@@ -9,7 +9,7 @@ Two arbiters over the same engine pool:
   front-end QoS): each VF gets an equal share of engine passes
   regardless of how deeply its neighbours queue.
 
-Both are real queueing processes on the DES, not closed-form formulas:
+Both are real queues on the DES, not closed-form formulas:
 the CV gap in Figure 20 *emerges* from the scheduling discipline.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Generator
+from functools import partial
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
@@ -34,28 +34,30 @@ class VfRequest:
 
 
 class _ArbiterBase:
-    """Engine-slot dispatch shared by both policies."""
+    """Engine-slot dispatch shared by both policies.
+
+    Each engine slot is a chain of kernel callbacks, not a process: an
+    idle engine parks a callback on the shared wakeup event, a busy one
+    schedules its own completion ``service_ns`` ahead and pulls the
+    next request when it fires.
+    """
 
     def __init__(self, sim: Simulator, engine_slots: int) -> None:
         if engine_slots < 1:
             raise SimulationError("need at least one engine slot")
         self.sim = sim
         self.engine_slots = engine_slots
-        self._idle_engines = engine_slots
         self._wakeup: Event | None = None
         # Let the runtime sanitizer audit arbiter queues at run end.
         register = getattr(sim, "_register_waitable", None)
         if register is not None:
             register(self)
         for _ in range(engine_slots):
-            sim.spawn(self._engine_loop())
+            sim.call_later(0.0, self._next_request)
 
     # -- subclass interface --
 
     def _pop_next(self) -> VfRequest | None:
-        raise NotImplementedError
-
-    def _has_pending(self) -> bool:
         raise NotImplementedError
 
     def submit(self, request: VfRequest) -> Event:
@@ -67,16 +69,19 @@ class _ArbiterBase:
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
-    def _engine_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            request = self._pop_next()
-            if request is None:
-                if self._wakeup is None or self._wakeup.fired:
-                    self._wakeup = self.sim.event()
-                yield self._wakeup
-                continue
-            yield self.sim.timeout(request.service_ns)
-            request.done.succeed()
+    def _next_request(self, _wakeup: Event | None = None) -> None:
+        request = self._pop_next()
+        if request is None:
+            if self._wakeup is None or self._wakeup.fired:
+                self._wakeup = self.sim.event()
+            self._wakeup.add_callback(self._next_request)
+            return
+        self.sim.call_later(request.service_ns,
+                            partial(self._served, request))
+
+    def _served(self, request: VfRequest) -> None:
+        request.done.succeed()
+        self._next_request()
 
 
 class FcfsArbiter(_ArbiterBase):
@@ -86,7 +91,7 @@ class FcfsArbiter(_ArbiterBase):
                  queue_ceiling: int) -> None:
         self._queue: deque[VfRequest] = deque()
         self._ceiling = queue_ceiling
-        self._blocked: deque[tuple[VfRequest, Event]] = deque()
+        self._blocked: deque[VfRequest] = deque()
         super().__init__(sim, engine_slots)
 
     def submit(self, request: VfRequest) -> Event:
@@ -94,8 +99,7 @@ class FcfsArbiter(_ArbiterBase):
         if len(self._queue) >= self._ceiling:
             # Hardware queue full: the submission itself blocks until a
             # slot frees (the "concurrency ceiling" of Finding 6).
-            gate = self.sim.event()
-            self._blocked.append((request, gate))
+            self._blocked.append(request)
             return request.done
         self._queue.append(request)
         self._notify()
@@ -106,13 +110,8 @@ class FcfsArbiter(_ArbiterBase):
             return None
         request = self._queue.popleft()
         while self._blocked and len(self._queue) < self._ceiling:
-            pending, gate = self._blocked.popleft()
-            self._queue.append(pending)
-            gate.succeed()
+            self._queue.append(self._blocked.popleft())
         return request
-
-    def _has_pending(self) -> bool:
-        return bool(self._queue)
 
 
 class FairArbiter(_ArbiterBase):
@@ -139,6 +138,3 @@ class FairArbiter(_ArbiterBase):
                 self._cursor = (index + 1) % vf_count
                 return self._queues[index].popleft()
         return None
-
-    def _has_pending(self) -> bool:
-        return any(self._queues)

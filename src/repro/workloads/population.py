@@ -244,7 +244,8 @@ class PopulationStream(OpenLoopStream):
 
     Plugs into :class:`~repro.cluster.clients.OpenLoopClient`
     unchanged: the client reads ``diurnal`` (``None`` on the base
-    stream, absent attribute there) to pick its pacing loop, and
+    stream, absent attribute there) to decide whether to divide each
+    Poisson gap by the diurnal rate factor, and
     ``make_request`` draws the tenant with one uniform variate + bisect
     instead of ``randrange``.  ``population=None`` keeps the base
     stream's uniform tenant draw — the diurnal-only shape.

@@ -39,13 +39,27 @@ GOLDEN_STREAM = dict(offered_gbps=36.0, duration_ns=5e5, tenants=4,
                      seed=5)
 
 
-def _golden_run():
+#: Heap entries the sanitized golden run pops: an exact, host-independent
+#: count of kernel work that entries-per-request claims can cite.  It was
+#: 2281 while the device pipeline, the QoS engine loops and the open-loop
+#: arrivals ran as generator processes; turning them into callback chains
+#: dropped the completion event each finished per-request process pushed
+#: and nobody waited on (274 requests + 1 arrival process).  A change here
+#: must be explained, never just re-pinned.
+GOLDEN_KERNEL_ENTRIES = 2006
+
+
+def _golden_cluster(sanitize: bool = False) -> Cluster:
     spec = dataclasses.replace(
         default_cluster_spec(),
         telemetry=TelemetrySpec(trace=True, metrics_interval_ns=1e5))
-    cluster = Cluster.from_spec(spec)
+    cluster = Cluster.from_spec(spec, sanitize=sanitize)
     cluster.open_loop(**GOLDEN_STREAM)
-    return cluster.run()
+    return cluster
+
+
+def _golden_run():
+    return _golden_cluster().run()
 
 
 def _result_document(result) -> dict:
@@ -81,6 +95,19 @@ class TestGoldenRun:
                 "golden trace export changed: span timestamps or "
                 "ordering drifted across the kernel rewrite"
             )
+
+
+    def test_sanitized_kernel_work_pinned(self):
+        cluster = _golden_cluster(sanitize=True)
+        result = cluster.run()
+        rows = (json.dumps(_result_document(result), indent=2,
+                           sort_keys=True) + "\n").encode()
+        assert rows == (GOLDEN_DIR / "run_result.json").read_bytes()
+        assert cluster.sim.entries_checked == GOLDEN_KERNEL_ENTRIES, (
+            f"golden run popped {cluster.sim.entries_checked} heap "
+            f"entries, expected {GOLDEN_KERNEL_ENTRIES}: the kernel work "
+            f"per request changed"
+        )
 
 
 class TestCostTable:

@@ -315,6 +315,70 @@ class TestBatching:
             Batcher(sim, batch_size=1, timeout_ns=-1.0, flush=lambda b: b)
 
 
+class TestDataPlaneChain:
+    """Exact completion times through the device's callback pipeline
+    (doorbell → pre → engine → post), one branch per case."""
+
+    def _completions(self, sim, device, requests):
+        done = []
+        for req in requests:
+            device.enqueue(req, on_complete=lambda r, dev, cost:
+                           done.append((r.tenant, sim.now)))
+        device.batcher.flush_now()
+        sim.run()
+        assert device.inflight == 0
+        assert device.backlog_ns == 0.0
+        return done
+
+    @pytest.mark.parametrize("pre_ns, post_ns", [(0.0, 0.0), (5.0, 3.0)])
+    def test_pre_and_post_stages(self, pre_ns, post_ns):
+        # Serial doorbell (100 ns each), 10 ns of engine per request;
+        # zero-cost pre/post stages must add no time and no hop.
+        sim = Simulator()
+        device = FleetDevice(
+            sim, StubDevice(),
+            flat_model(engine_per_byte_ns=0.01, submit_ns=100.0,
+                       pre_ns=pre_ns, post_ns=post_ns),
+            batch_size=1, batch_timeout_ns=None)
+        done = self._completions(sim, device, [request(tenant=0),
+                                               request(tenant=1)])
+        stages = pre_ns + 10.0 + post_ns
+        assert done == [(0, 100.0 + stages), (1, 200.0 + stages)]
+        assert device.completed == 2
+
+    def test_derate_sampled_at_engine_entry(self):
+        # Both requests are enqueued at t=0.  The derate lands while the
+        # first is still ringing its doorbell, so it pays 2x engine
+        # time; the restore lands before the second enters the engine,
+        # so it pays nominal time after waiting for the single engine.
+        sim = Simulator()
+        device = FleetDevice(
+            sim, StubDevice(),
+            flat_model(engine_per_byte_ns=1.0, submit_ns=100.0),
+            batch_size=1, batch_timeout_ns=None)
+        sim.call_later(50.0, lambda: device.set_speed(0.5))
+        sim.call_later(150.0, lambda: device.set_speed(1.0))
+        done = self._completions(sim, device, [request(tenant=0),
+                                               request(tenant=1)])
+        assert done == [(0, 100.0 + 2000.0), (1, 2100.0 + 1000.0)]
+
+    def test_fair_arbiter_device_round_robins(self):
+        # One batch of three 1000 ns requests on one engine: the fair
+        # arbiter serves tenant 1 between tenant 0's two requests, where
+        # a shared FIFO serves them in submission order.
+        def run(fair_share_tenants):
+            sim = Simulator()
+            device = FleetDevice(
+                sim, StubDevice(), flat_model(engine_per_byte_ns=1.0),
+                batch_size=3, batch_timeout_ns=None,
+                fair_share_tenants=fair_share_tenants)
+            return self._completions(sim, device, [
+                request(tenant=0), request(tenant=0), request(tenant=1)])
+
+        assert run(2) == [(0, 1000.0), (1, 2000.0), (0, 3000.0)]
+        assert run(None) == [(0, 1000.0), (0, 2000.0), (1, 3000.0)]
+
+
 class TestBackpressure:
     def test_queue_limit_enforced_on_direct_enqueue(self):
         sim = Simulator()
