@@ -160,18 +160,15 @@ class OpenLoopClient(ClusterClient):
         super().__init__(service, name, stream.duration_ns)
         self.stream = stream
 
-    def _spawn(self) -> None:
-        self.sim.call_later(0.0, self._start_arrivals)
-
     # The hottest client path in the repo (every open-loop request passes
     # through once), so it is a callback chain, not a process: each
     # arrival is one heap entry that submits and schedules the next.
 
-    def _start_arrivals(self) -> None:
+    def _spawn(self) -> None:
         self._rng = self.stream.rng()
         diurnal = getattr(self.stream, "diurnal", None)
         self._rate_at = diurnal.rate_at if diurnal is not None else None
-        self._schedule_arrival()
+        self.sim.call_later(0.0, self._schedule_arrival)
 
     def _schedule_arrival(self) -> None:
         gap = self.stream.next_gap_ns(self._rng)
