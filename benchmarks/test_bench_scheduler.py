@@ -10,27 +10,15 @@ backpressure into the scheduler, making the deadline run exercise the
 pending-queue machinery rather than bypassing it.
 """
 
-import pytest
-
+from repro.cluster import Cluster, default_cluster_spec
 from repro.experiments.slo_degradation import BATCH_4MS, INTERACTIVE_150US
 from repro.profiling import format_table
-from repro.service import (
-    OpenLoopStream,
-    calibrated,
-    default_fleet,
-    run_offload_service,
-)
+from repro.service import OpenLoopStream
 
 _LOAD_GBPS = 48.0
 _DURATION_NS = 1.5e6
 _SEED = 5
 _QUEUE_LIMIT = 6
-
-
-@pytest.fixture(scope="module")
-def fleet():
-    """Calibrate once; every run reuses the same cost models."""
-    return calibrated(default_fleet())
 
 
 def _stream():
@@ -40,22 +28,27 @@ def _stream():
                                    (BATCH_4MS, 0.7)))
 
 
-def _run(policy, fleet):
-    return run_offload_service(_stream(), policy=policy, fleet=fleet,
-                               queue_limit=_QUEUE_LIMIT)
+def _run(policy):
+    """One run on the calibrated default fleet (no spill, no admission);
+    calibration is cached process-wide, so only the first run pays it."""
+    spec = default_cluster_spec(policy, spill=False).with_overrides(
+        {"admission": None, "fleet.queue_limit": _QUEUE_LIMIT})
+    cluster = Cluster.from_spec(spec)
+    cluster.open_loop(_stream())
+    return cluster.run().service
 
 
-def test_bench_dispatch_flat(benchmark, fleet):
+def test_bench_dispatch_flat(benchmark):
     """Requests/sec the DES loop sustains under flat cost-model dispatch."""
-    report = benchmark(_run, "cost-model", fleet)
+    report = benchmark(_run, "cost-model")
     assert report.completed > 0
     benchmark.extra_info["simulated_requests"] = report.offered
     benchmark.extra_info["completed_gbps"] = round(report.completed_gbps, 2)
 
 
-def test_bench_dispatch_deadline(benchmark, fleet):
+def test_bench_dispatch_deadline(benchmark):
     """Same load through the deadline-aware scheduler core."""
-    report = benchmark(_run, "deadline", fleet)
+    report = benchmark(_run, "deadline")
     assert report.completed > 0
     benchmark.extra_info["simulated_requests"] = report.offered
     benchmark.extra_info["completed_gbps"] = round(report.completed_gbps, 2)
@@ -63,9 +56,9 @@ def test_bench_dispatch_deadline(benchmark, fleet):
         report.slo_miss_rate("interactive"), 3)
 
 
-def test_bench_scheduler_quality_at_equal_load(fleet, show_tables):
+def test_bench_scheduler_quality_at_equal_load(show_tables):
     """The EDF core must buy miss-rate protection, not lose goodput."""
-    reports = {policy: _run(policy, fleet)
+    reports = {policy: _run(policy)
                for policy in ("cost-model", "deadline")}
     if show_tables:
         rows = []

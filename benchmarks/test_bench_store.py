@@ -7,12 +7,9 @@ read tail latency, and decompress traffic must land on a different
 placement mix than compress traffic under cost-model dispatch.
 """
 
-import pytest
-
+from repro.cluster import Cluster, default_cluster_spec
 from repro.experiments.store_scaling import placement_shift
 from repro.profiling import format_table
-from repro.service import calibrated_ops, default_fleet
-from repro.store import run_block_store
 from repro.workloads import MixedStream
 
 #: Past the ASIC tiers' combined decompress capacity at 80% reads, so
@@ -22,34 +19,34 @@ _DURATION_NS = 4e6
 _SEED = 11
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    """Calibrate per-op models once; every run reuses the same pairs."""
-    return calibrated_ops(default_fleet())
-
-
 def _stream(read_fraction=0.8):
     return MixedStream(offered_gbps=_LOAD_GBPS, duration_ns=_DURATION_NS,
                        read_fraction=read_fraction, blocks=512,
                        block_bytes=65536, tenants=4, seed=_SEED)
 
 
-def test_bench_store_loop_rate(benchmark, fleet):
+def _run(cache_blocks):
+    """One run on the calibrated default fleet (both ops, no spill, no
+    admission) with a 64 KiB-block store tier; calibration is cached
+    process-wide, so only the first run pays it."""
+    spec = default_cluster_spec(spill=False, store=True).with_overrides(
+        {"admission": None, "store.cache_blocks": cache_blocks})
+    cluster = Cluster.from_spec(spec)
+    cluster.store_client(_stream())
+    return cluster.run().store
+
+
+def test_bench_store_loop_rate(benchmark):
     """Operations/sec the store's DES loop sustains end to end."""
-    report = benchmark(run_block_store, _stream(),
-                       policy="cost-model", fleet=fleet, cache_blocks=256)
+    report = benchmark(_run, 256)
     assert report.reads > 0 and report.writes > 0
     benchmark.extra_info["simulated_ops"] = report.reads + report.writes
     benchmark.extra_info["read_gbps"] = round(report.read_gbps, 2)
 
 
-def test_bench_cache_cuts_read_tail(fleet, show_tables):
+def test_bench_cache_cuts_read_tail(show_tables):
     """Cache hits measurably reduce p99 read latency at equal load."""
-    reports = {
-        cache: run_block_store(_stream(), policy="cost-model", fleet=fleet,
-                               cache_blocks=cache)
-        for cache in (0, 64, 256)
-    }
+    reports = {cache: _run(cache) for cache in (0, 64, 256)}
     if show_tables:
         rows = [{"cache_blocks": cache, **report.row()}
                 for cache, report in reports.items()]
@@ -58,10 +55,9 @@ def test_bench_cache_cuts_read_tail(fleet, show_tables):
     assert reports[256].read_p99_us <= reports[64].read_p99_us
 
 
-def test_bench_decompress_shifts_placement(fleet, show_tables):
+def test_bench_decompress_shifts_placement(show_tables):
     """The read path's placement mix differs from the write path's."""
-    report = run_block_store(_stream(), policy="cost-model", fleet=fleet,
-                             cache_blocks=64)
+    report = _run(64)
     assert report.service is not None
     if show_tables:
         print("\n" + format_table(report.service.op_breakdown,

@@ -321,8 +321,6 @@ class StoreClient(ClusterClient):
                  retry_backoff_ns: float = 1_000.0) -> None:
         super().__init__(store.service, name, stream.duration_ns)
         if stream.block_bytes != store.block_bytes:
-            # StoreError, matching the store.drive() behaviour callers
-            # of the deprecated run_block_store shim already handle.
             raise StoreError(
                 f"{name}: stream block size {stream.block_bytes} != "
                 f"store block size {store.block_bytes}"
@@ -344,7 +342,7 @@ class StoreClient(ClusterClient):
     def _spawn(self) -> None:
         if self.preload and len(self.store.blockmap) == 0:
             # Give every logical block an initial extent so reads
-            # always resolve (same seeding rule as run_block_store).
+            # always resolve.
             self.store.load(self.stream.blocks,
                             ratio_range=self.stream.ratio_range,
                             seed=self.stream.seed + 2)

@@ -14,8 +14,8 @@ Device cost-model calibration runs the real codecs, so it is by far
 the most expensive part of building a cluster; calibrated models are
 cached process-wide keyed by (device kind, parameters, op) — a sweep
 building hundreds of clusters from specs calibrates each distinct
-device exactly once, same as the old hand-wired experiments that
-hoisted ``calibrated(...)`` out of their loops.
+device exactly once.  Identical fleet members share one model per op,
+so each model's per-size prediction memo warms once per process.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.cluster.spec import ClusterSpec, DeviceSpec
 from repro.profiling.powermeter import PowerMeter
 from repro.service.admission import AdmissionController
 from repro.service.control import FleetController
-from repro.service.model import CostTable, DeviceCostModel
+from repro.service.model import DeviceCostModel
 from repro.service.offload import OffloadService, build_fleet
 from repro.service.request import OpenLoopStream, SloClass
 from repro.sim.engine import Simulator
@@ -64,11 +64,6 @@ _DEVICE_BUILDERS: dict[str, Callable[[DeviceSpec], CdpuDevice]] = {
 
 #: Process-wide calibration cache: (DeviceSpec.cache_key(), op) -> model.
 _MODEL_CACHE: dict[tuple, DeviceCostModel] = {}
-
-#: Process-wide cost-table cache, keyed like :data:`_MODEL_CACHE`.
-#: Identical fleet members share one table per op, so the per-size row
-#: cache warms once for the whole fleet (and across sweep runs).
-_TABLE_CACHE: dict[tuple, CostTable] = {}
 
 
 def build_device(spec: DeviceSpec) -> CdpuDevice:
@@ -99,28 +94,12 @@ def calibrated_models(spec: DeviceSpec, device: CdpuDevice,
     return models
 
 
-def calibrated_tables(spec: DeviceSpec, device: CdpuDevice,
-                      ops: tuple[str, ...]) -> dict[str, CostTable]:
-    """Per-op :class:`CostTable` lookups for ``device``, cached like
-    :func:`calibrated_models` (one table per distinct device kind)."""
-    tables: dict[str, CostTable] = {}
-    for op, model in calibrated_models(spec, device, ops).items():
-        key = (spec.cache_key(), op)
-        table = _TABLE_CACHE.get(key)
-        if table is None or table.model is not model:
-            table = CostTable(model)
-            _TABLE_CACHE[key] = table
-        tables[op] = table
-    return tables
-
-
 class Cluster:
     """A live serving cluster: simulator, fleet, scheduler, clients.
 
-    Build one from a spec (:meth:`from_spec`) or wrap pre-built parts
-    (the constructor) — the latter is what the deprecated
-    ``run_offload_service`` / ``run_block_store`` shims and the
-    stub-device unit tests use.  Attach one or more clients, then call
+    Build one from a spec (:meth:`from_spec`), or wrap pre-built parts
+    (the constructor) for fleets a spec cannot express, such as stub
+    devices in unit tests.  Attach one or more clients, then call
     :meth:`run` exactly once.
     """
 
@@ -237,16 +216,6 @@ class Cluster:
             queue_limit=fleet_spec.queue_limit,
             fair_share_tenants=fleet_spec.fair_share_tenants,
         )
-        # Calibration-table fast path: members built from a spec price
-        # requests off shared precomputed tables (bit-identical to the
-        # live models they wrap) instead of recomputing the linear fits
-        # per candidate per request.
-        for member, device_spec in zip(members, fleet_spec.devices):
-            member.cost_tables = calibrated_tables(
-                device_spec, member.device, fleet_spec.ops)
-        if spill_member is not None and fleet_spec.spill is not None:
-            spill_member.cost_tables = calibrated_tables(
-                fleet_spec.spill, spill_member.device, fleet_spec.ops)
         admission = None
         if spec.admission is not None:
             admission = AdmissionController(

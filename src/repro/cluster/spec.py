@@ -62,6 +62,25 @@ def _check_keys(cls: type, data: dict,
         )
 
 
+def _number(data: dict, key: str, default: Any, where: str, *,
+            integer: bool = False, optional: bool = False) -> Any:
+    """``data[key]`` (``default`` if absent), rejected with a
+    :class:`ClusterSpecError` naming ``where`` unless it is a number
+    (an integer if ``integer``; ``None`` too if ``optional``).  A bool
+    is never a number here."""
+    value = data.get(key, default)
+    if value is None and optional:
+        return value
+    if isinstance(value, bool) or not isinstance(
+            value, int if integer else (int, float)):
+        expected = "an integer" if integer else "a number"
+        raise ClusterSpecError(
+            f"{where} must be {expected}{' or null' if optional else ''}, "
+            f"got {value!r}"
+        )
+    return value
+
+
 def to_jsonable(value: Any) -> Any:
     """Recursively convert spec values into JSON-serializable shapes
     (dataclasses become dicts, tuples become lists, dict values are
@@ -275,15 +294,27 @@ class FleetSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSpec":
         _check_keys(cls, data)
+        devices = data.get("devices", ())
+        if not isinstance(devices, (list, tuple)):
+            raise ClusterSpecError(
+                f"fleet.devices must be a list of device specs, "
+                f"got {devices!r}"
+            )
         return cls(
-            devices=tuple(DeviceSpec.from_dict(entry)
-                          for entry in data.get("devices", ())),
+            devices=tuple(DeviceSpec.from_dict(entry) for entry in devices),
             spill=(DeviceSpec.from_dict(data["spill"])
                    if data.get("spill") is not None else None),
-            batch_size=data.get("batch_size", 4),
-            batch_timeout_ns=data.get("batch_timeout_ns", 20_000.0),
-            queue_limit=data.get("queue_limit"),
-            fair_share_tenants=data.get("fair_share_tenants"),
+            batch_size=_number(data, "batch_size", 4, "fleet.batch_size",
+                               integer=True),
+            batch_timeout_ns=_number(data, "batch_timeout_ns", 20_000.0,
+                                     "fleet.batch_timeout_ns",
+                                     optional=True),
+            queue_limit=_number(data, "queue_limit", None,
+                                "fleet.queue_limit", integer=True,
+                                optional=True),
+            fair_share_tenants=_number(data, "fair_share_tenants", None,
+                                       "fleet.fair_share_tenants",
+                                       integer=True, optional=True),
             ops=tuple(data.get("ops", ("compress",))),
         )
 
@@ -641,13 +672,16 @@ class ClusterSpec:
             policy=data.get("policy", "cost-model"),
             admission=(AdmissionSpec.from_dict(data["admission"])
                        if data.get("admission") is not None else None),
-            pending_limit=data.get("pending_limit"),
+            pending_limit=_number(data, "pending_limit", None,
+                                  "pending_limit", integer=True,
+                                  optional=True),
             slo_mix=(tuple(SloShare.from_dict(entry)
                            for entry in data["slo_mix"])
                      if data.get("slo_mix") is not None else None),
             store=(StoreSpec.from_dict(data["store"])
                    if data.get("store") is not None else None),
-            power_budget_w=data.get("power_budget_w"),
+            power_budget_w=_number(data, "power_budget_w", None,
+                                   "power_budget_w", optional=True),
             reconfig=tuple(ReconfigEvent.from_dict(entry)
                            for entry in data.get("reconfig", ())),
             telemetry=(TelemetrySpec.from_dict(data["telemetry"])

@@ -24,7 +24,6 @@ from repro.service.offload import (
     ServiceReport,
     build_fleet,
     default_fleet,
-    run_offload_service,
 )
 from repro.service.policy import (
     POLICIES,
@@ -87,5 +86,4 @@ __all__ = [
     "default_fleet",
     "make_policy",
     "make_slo_class",
-    "run_offload_service",
 ]

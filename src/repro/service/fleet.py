@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from repro.errors import ServiceError
 from repro.hw.engine import CdpuDevice, Placement
-from repro.service.model import CostTable, DeviceCostModel, ModeledCost
+from repro.service.model import DeviceCostModel, ModeledCost
 from repro.service.request import OffloadRequest
 from repro.sim.engine import Event, Simulator, Store
 from repro.sim.stats import ThroughputTracker
@@ -127,7 +127,7 @@ class FleetDevice:
     # hot-path mirror), so it must not appear as a slot itself.
     __slots__ = ("sim", "device", "models", "_engines", "queue_limit",
                  "arbiter", "_vf_count", "batcher", "_batch_queue",
-                 "cost_tables", "_state", "is_online", "speed_factor",
+                 "_state", "is_online", "speed_factor",
                  "inflight", "peak_inflight", "completed",
                  "batches_submitted", "backlog_ns", "throughput",
                  "_cost_cache", "telemetry")
@@ -172,11 +172,6 @@ class FleetDevice:
                                self._launch_batch)
         self._batch_queue = Store(sim)
         sim.call_later(0.0, self._await_batch)
-        #: Per-op precomputed cost tables (:class:`~repro.service.model.
-        #: CostTable`), attached at cluster assembly and shared across
-        #: identical fleet members; empty means predict off the live
-        #: model.
-        self.cost_tables: dict[str, CostTable] = {}
         self.state = DeviceState.ONLINE
         #: Brown-out/power-cap derating: fraction of nominal engine
         #: speed (1.0 = healthy).  Served engine occupancy and response
@@ -206,11 +201,6 @@ class FleetDevice:
     @property
     def placement(self) -> Placement:
         return self.device.placement
-
-    @property
-    def model(self) -> DeviceCostModel:
-        """The compress-path model (historical single-op accessor)."""
-        return self.model_for("compress")
 
     def model_for(self, op: str) -> DeviceCostModel:
         """The cost model pricing ``op``, calibrating it on first use."""
@@ -283,17 +273,12 @@ class FleetDevice:
         cached = self._cost_cache
         if cached is not None and cached[0] is request:
             return cached[1]
-        # Calibration-table fast path: identical devices share one
-        # precomputed table per op (attached at cluster assembly), so
-        # the common case is a dict hit plus the ratio interpolation.
-        # Derated devices fall back to the live model — the table is
-        # built against nominal calibration.
-        table = self.cost_tables.get(request.op)
-        if table is not None and self.speed_factor == 1.0:
-            cost = table.predict(request.nbytes, request.ratio)
-        else:
-            cost = self.model_for(request.op).predict(request.nbytes,
-                                                      request.ratio)
+        # Nominal cost: estimate_response_ns and _enter_engine apply
+        # the derate, not the prediction.
+        model = self.models.get(request.op)
+        if model is None:
+            model = self.model_for(request.op)
+        cost = model.predict(request.nbytes, request.ratio)
         self._cost_cache = (request, cost)
         return cost
 

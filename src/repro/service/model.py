@@ -50,9 +50,6 @@ class RatioAnchor:
     overhead_ns: float
     per_byte_ns: float
 
-    def engine_ns(self, nbytes: int) -> float:
-        return self.overhead_ns + self.per_byte_ns * nbytes
-
 
 class DeviceCostModel:
     """Predicts a request's phase budget for one device."""
@@ -71,34 +68,58 @@ class DeviceCostModel:
         self.pre_per_byte_ns = pre_per_byte_ns
         self.post_overhead_ns = post_overhead_ns
         self.post_per_byte_ns = post_per_byte_ns
+        #: nbytes -> (submit, pre, post, anchor ratios, anchor engines)
+        self._rows: dict[int, tuple[float, float, float,
+                                    tuple[float, ...],
+                                    tuple[float, ...]]] = {}
 
     # -- prediction ----------------------------------------------------------
 
-    def _engine_ns(self, nbytes: int, ratio: float) -> float:
-        anchors = self.anchors
-        if ratio <= anchors[0].ratio:
-            return anchors[0].engine_ns(nbytes)
-        if ratio >= anchors[-1].ratio:
-            return anchors[-1].engine_ns(nbytes)
-        for low, high in zip(anchors, anchors[1:]):
-            if low.ratio <= ratio <= high.ratio:
-                span = high.ratio - low.ratio
-                weight = (ratio - low.ratio) / span if span > 0 else 0.0
-                return (low.engine_ns(nbytes) * (1 - weight)
-                        + high.engine_ns(nbytes) * weight)
-        return anchors[-1].engine_ns(nbytes)  # pragma: no cover
+    def _row(self, nbytes: int) -> tuple:
+        """Memoize the size-dependent terms of a prediction.
 
-    def predict(self, nbytes: int, ratio: float = 1.0) -> ModeledCost:
+        The dispatch hot path prices every candidate device on every
+        request, and workload generators draw sizes from a small
+        palette, so each row (submit/pre/post budgets and the engine
+        occupancy at every anchor) is computed once per size.  The memo
+        is only valid because anchors and fit fields are never changed
+        after construction.
+        """
         if nbytes <= 0:
             raise ServiceError(f"request size must be > 0, got {nbytes}")
-        return ModeledCost(
-            submit_ns=max(self.submit_ns, 0.0),
-            pre_ns=max(self.pre_overhead_ns
-                       + self.pre_per_byte_ns * nbytes, 0.0),
-            engine_ns=max(self._engine_ns(nbytes, ratio), 1.0),
-            post_ns=max(self.post_overhead_ns
-                        + self.post_per_byte_ns * nbytes, 0.0),
+        anchors = self.anchors
+        row = (
+            max(self.submit_ns, 0.0),
+            max(self.pre_overhead_ns + self.pre_per_byte_ns * nbytes, 0.0),
+            max(self.post_overhead_ns + self.post_per_byte_ns * nbytes, 0.0),
+            tuple(anchor.ratio for anchor in anchors),
+            tuple(anchor.overhead_ns + anchor.per_byte_ns * nbytes
+                  for anchor in anchors),
         )
+        self._rows[nbytes] = row
+        return row
+
+    def predict(self, nbytes: int, ratio: float = 1.0) -> ModeledCost:
+        row = self._rows.get(nbytes)
+        if row is None:
+            row = self._row(nbytes)
+        submit_ns, pre_ns, post_ns, ratios, engines = row
+        if ratio <= ratios[0]:
+            engine = engines[0]
+        elif ratio >= ratios[-1]:
+            engine = engines[-1]
+        else:
+            engine = engines[-1]
+            for index in range(len(ratios) - 1):
+                low = ratios[index]
+                high = ratios[index + 1]
+                if low <= ratio <= high:
+                    span = high - low
+                    weight = (ratio - low) / span if span > 0 else 0.0
+                    engine = (engines[index] * (1 - weight)
+                              + engines[index + 1] * weight)
+                    break
+        return ModeledCost(submit_ns, pre_ns, max(engine, 1.0), post_ns)
 
     # -- calibration ---------------------------------------------------------
 
@@ -153,78 +174,6 @@ class DeviceCostModel:
         )
 
 
-class CostTable:
-    """Precomputed lookup over a :class:`DeviceCostModel`.
-
-    The dispatch hot path predicts a cost for every candidate device on
-    every request; with workload generators drawing sizes from a small
-    fixed palette, those predictions endlessly recompute the same
-    handful of linear fits.  A ``CostTable`` caches, per request size,
-    the size-dependent terms (submit/pre/post budgets and the engine
-    occupancy at each calibration anchor) and finishes a prediction
-    with only the ratio interpolation.
-
-    Every arithmetic expression is copied verbatim from
-    :meth:`DeviceCostModel.predict` / ``_engine_ns`` and evaluated in
-    the same order on the same doubles, so ``table.predict(n, r)`` is
-    **bit-identical** to ``model.predict(n, r)`` — the byte-identity
-    bar of the golden-run tests holds with tables on or off.
-
-    One table per (device-kind, op) is built at cluster assembly and
-    shared across identical fleet members (they share the calibrated
-    model too), so the row cache warms once for the whole fleet.
-    """
-
-    __slots__ = ("model", "_rows")
-
-    def __init__(self, model: DeviceCostModel) -> None:
-        self.model = model
-        #: nbytes -> (submit, pre, post, anchor ratios, anchor engines)
-        self._rows: dict[int, tuple[float, float, float,
-                                    tuple[float, ...],
-                                    tuple[float, ...]]] = {}
-
-    def _build_row(self, nbytes: int) -> tuple:
-        if nbytes <= 0:
-            raise ServiceError(f"request size must be > 0, got {nbytes}")
-        model = self.model
-        anchors = model.anchors
-        row = (
-            max(model.submit_ns, 0.0),
-            max(model.pre_overhead_ns
-                + model.pre_per_byte_ns * nbytes, 0.0),
-            max(model.post_overhead_ns
-                + model.post_per_byte_ns * nbytes, 0.0),
-            tuple(anchor.ratio for anchor in anchors),
-            tuple(anchor.overhead_ns + anchor.per_byte_ns * nbytes
-                  for anchor in anchors),
-        )
-        self._rows[nbytes] = row
-        return row
-
-    def predict(self, nbytes: int, ratio: float = 1.0) -> ModeledCost:
-        row = self._rows.get(nbytes)
-        if row is None:
-            row = self._build_row(nbytes)
-        submit_ns, pre_ns, post_ns, ratios, engines = row
-        if ratio <= ratios[0]:
-            engine = engines[0]
-        elif ratio >= ratios[-1]:
-            engine = engines[-1]
-        else:
-            engine = engines[-1]
-            for index in range(len(ratios) - 1):
-                low = ratios[index]
-                high = ratios[index + 1]
-                if low <= ratio <= high:
-                    span = high - low
-                    weight = (ratio - low) / span if span > 0 else 0.0
-                    engine = (engines[index] * (1 - weight)
-                              + engines[index + 1] * weight)
-                    break
-        return ModeledCost(submit_ns, pre_ns, max(engine, 1.0), post_ns)
-
-
 def _fit_linear(points: list[tuple[int, float]]) -> tuple[float, float]:
     """Least-squares ``overhead + per_byte * size`` fit, clamped >= 0."""
     n = len(points)
@@ -255,7 +204,7 @@ def calibrated_ops(
 
     The returned ``(device, {op: model})`` pairs plug straight into
     :class:`~repro.service.fleet.FleetDevice` /
-    :func:`~repro.service.offload.run_offload_service`, so decompress
+    :func:`~repro.service.offload.build_fleet`, so decompress
     requests are priced by a decompress-calibrated model instead of
     being silently costed as compress.
     """

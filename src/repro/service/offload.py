@@ -27,7 +27,6 @@ explicit control plane and data plane:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -40,7 +39,7 @@ from repro.service.admission import AdmissionController
 from repro.service.fleet import FleetDevice
 from repro.service.model import DeviceCostModel, ModeledCost
 from repro.service.policy import DispatchPolicy, make_policy
-from repro.service.request import OffloadRequest, OpenLoopStream
+from repro.service.request import OffloadRequest
 from repro.service.scheduler import SchedulerCore, ServiceMetrics
 from repro.sim.engine import Simulator
 
@@ -342,61 +341,3 @@ def build_fleet(sim: Simulator,
     spill_member = as_fleet_device(spill) if spill is not None else None
     return members, spill_member
 
-
-def run_offload_service(
-        stream: OpenLoopStream,
-        policy: DispatchPolicy | str = "cost-model",
-        fleet: FleetSpec | None = None,
-        spill: tuple[CdpuDevice,
-                     DeviceCostModel | dict[str, DeviceCostModel] | None]
-        | CdpuDevice | None = None,
-        admission: AdmissionController | None = None,
-        batch_size: int = 4,
-        batch_timeout_ns: float | None = 20_000.0,
-        queue_limit: int | None = None,
-        fair_share_tenants: int | None = None,
-        pending_limit: int | None = None,
-        reconfigure: Callable[["OffloadService"], None] | None = None
-        ) -> ServiceReport:
-    """Deprecated one-call service run kept as a back-compat shim.
-
-    New code should build a :class:`~repro.cluster.session.Cluster`
-    (declaratively via :class:`~repro.cluster.spec.ClusterSpec`, or
-    from pre-built parts), attach clients, and read the unified
-    :class:`~repro.cluster.result.RunResult`; this shim wires the same
-    session underneath and returns only the service view.
-
-    ``fleet``/``spill`` entries may be bare devices (calibrated here),
-    ``(device, model)`` pairs, or ``(device, {op: model})`` pairs so
-    sweeps can calibrate once and reuse across ops.
-
-    ``reconfigure`` (if given) runs with the built service before the
-    simulation starts — the hook for scheduling mid-run fleet events
-    through a :class:`~repro.service.control.FleetController` (brown-
-    outs, unplugs, power caps).
-    """
-    from repro.cluster.session import Cluster
-
-    warnings.warn(
-        "run_offload_service is deprecated; use Cluster.from_spec with a "
-        "ClusterSpec and attach an open-loop client instead "
-        "(see repro.cluster)",
-        DeprecationWarning, stacklevel=2,
-    )
-    sim = Simulator()
-    members, spill_member = build_fleet(
-        sim, fleet, spill,
-        batch_size=batch_size,
-        batch_timeout_ns=batch_timeout_ns,
-        queue_limit=queue_limit,
-        fair_share_tenants=fair_share_tenants,
-    )
-    service = OffloadService(sim, members, policy,
-                             admission=admission,
-                             spill_device=spill_member,
-                             pending_limit=pending_limit)
-    cluster = Cluster(sim, service)
-    if reconfigure is not None:
-        reconfigure(service)
-    cluster.open_loop(stream)
-    return cluster.run().service

@@ -15,7 +15,6 @@ from repro.store.store import (
     CompressedBlockStore,
     StoreMetrics,
     StoreReport,
-    run_block_store,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "CompressedBlockStore",
     "StoreMetrics",
     "StoreReport",
-    "run_block_store",
 ]

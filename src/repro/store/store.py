@@ -19,34 +19,24 @@ spike does not multiply fleet traffic before the cache warms.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
 from repro.errors import StoreError
-from repro.hw.engine import CdpuDevice
 from repro.service.fleet import FleetDevice
-from repro.service.admission import AdmissionController
-from repro.service.model import DeviceCostModel, ModeledCost, calibrated_ops
-from repro.service.offload import (
-    OffloadService,
-    ServiceReport,
-    build_fleet,
-    default_fleet,
-)
-from repro.service.policy import DispatchPolicy
+from repro.service.model import ModeledCost
+from repro.service.offload import OffloadService, ServiceReport
 from repro.service.request import (
     INTERACTIVE,
     THROUGHPUT,
     OffloadRequest,
     SloClass,
 )
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.stats import LatencyRecorder
 from repro.store.blockmap import BlockMap
 from repro.store.cache import BlockCache
 from repro.telemetry import DISABLED
-from repro.workloads.mixed import MixedStream
 
 
 @dataclass
@@ -374,40 +364,6 @@ class CompressedBlockStore:
                 or self.sim.now <= self.measure_until_ns):
             self.metrics.window_read_bytes += self.block_bytes
 
-    # -- open-loop driving --------------------------------------------------------
-
-    def drive(self, stream: MixedStream) -> Process:
-        """Spawn the mixed read/write arrival process for ``stream``.
-
-        Legacy single-stream driver: it owns the measurement window
-        and flushes at stream end itself, so it cannot share a
-        simulation with other traffic sources.  Cluster runs go through
-        :class:`repro.cluster.clients.StoreClient`, which keeps an
-        equivalent loop under the session's coordination.
-        """
-        if stream.block_bytes != self.block_bytes:
-            raise StoreError(
-                f"stream block size {stream.block_bytes} != store "
-                f"block size {self.block_bytes}"
-            )
-        self.measure_until_ns = stream.duration_ns
-        self.service.measure_until_ns = stream.duration_ns
-
-        def arrivals() -> Generator[Any, Any, None]:
-            rng = stream.rng()
-            keys = stream.key_generator()
-            while True:
-                yield self.sim.timeout(stream.next_gap_ns(rng))
-                if self.sim.now >= stream.duration_ns:
-                    break
-                op = stream.make_op(rng, keys)
-                if op.kind == "read":
-                    self.get(op.block, op.tenant)
-                else:
-                    self.put(op.block, op.tenant, op.ratio)
-            self.service.flush()
-        return self.sim.spawn(arrivals())
-
     # -- reporting ----------------------------------------------------------------
 
     def report(self, duration_ns: float | None = None) -> StoreReport:
@@ -453,68 +409,3 @@ class CompressedBlockStore:
             service=service_report,
         )
 
-
-def run_block_store(
-        stream: MixedStream,
-        policy: DispatchPolicy | str = "cost-model",
-        fleet: list[tuple[CdpuDevice, dict[str, DeviceCostModel]]]
-        | None = None,
-        spill: tuple[CdpuDevice, dict[str, DeviceCostModel]]
-        | CdpuDevice | None = None,
-        admission: AdmissionController | None = None,
-        cache_blocks: int = 512,
-        ghost_blocks: int | None = None,
-        batch_size: int = 4,
-        batch_timeout_ns: float | None = 20_000.0,
-        queue_limit: int | None = None,
-        pending_limit: int | None = None,
-        reconfigure: Callable[[OffloadService], None] | None = None,
-        **store_kwargs) -> StoreReport:
-    """Deprecated one-call store run kept as a back-compat shim.
-
-    New code should declare the store tier in a
-    :class:`~repro.cluster.spec.ClusterSpec` (or wrap pre-built parts
-    in a :class:`~repro.cluster.session.Cluster`), attach a store
-    client, and read the unified result; this shim wires the same
-    session underneath and returns only the store view.
-
-    ``fleet``/``spill`` entries should carry per-op model dicts (see
-    :func:`~repro.service.model.calibrated_ops`) so the read path is
-    priced by decompress-calibrated models; bare devices calibrate both
-    ops on demand.  The block map is preloaded so every read resolves.
-
-    ``reconfigure`` (if given) runs with the built service before the
-    simulation starts — the hook for scheduling mid-run fleet events
-    through a :class:`~repro.service.control.FleetController`.
-    """
-    from repro.cluster.session import Cluster
-
-    warnings.warn(
-        "run_block_store is deprecated; use Cluster.from_spec with a "
-        "ClusterSpec carrying a store section and attach a store client "
-        "instead (see repro.cluster)",
-        DeprecationWarning, stacklevel=2,
-    )
-    sim = Simulator()
-    members, spill_member = build_fleet(
-        sim,
-        fleet if fleet is not None else calibrated_ops(default_fleet()),
-        spill,
-        batch_size=batch_size,
-        batch_timeout_ns=batch_timeout_ns,
-        queue_limit=queue_limit,
-    )
-    service = OffloadService(sim, members, policy,
-                             admission=admission,
-                             spill_device=spill_member,
-                             pending_limit=pending_limit)
-    cache = BlockCache(cache_blocks, ghost_blocks)
-    store = CompressedBlockStore(sim, service, cache,
-                                 block_bytes=stream.block_bytes,
-                                 **store_kwargs)
-    cluster = Cluster(sim, service, store=store)
-    if reconfigure is not None:
-        reconfigure(service)
-    cluster.store_client(stream)
-    result = cluster.run()
-    return result.store

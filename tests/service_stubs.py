@@ -6,8 +6,17 @@ free; the real calibrated fleet only appears in the integration tests
 that need it.
 """
 
+from repro.cluster import Cluster
 from repro.hw.engine import CdpuDevice, Placement
-from repro.service import DeviceCostModel, FleetDevice, RatioAnchor
+from repro.service import (
+    DeviceCostModel,
+    FleetDevice,
+    OffloadService,
+    RatioAnchor,
+    build_fleet,
+)
+from repro.sim.engine import Simulator
+from repro.store import BlockCache, CompressedBlockStore
 
 
 class StubDevice(CdpuDevice):
@@ -39,3 +48,21 @@ def make_fleet(sim, count=2, per_byte=(0.01, 0.1), **kwargs):
                     flat_model(engine_per_byte_ns=per_byte[i]), **kwargs)
         for i in range(count)
     ]
+
+
+def parts_cluster(pairs, policy="cost-model", *, cache_blocks=None,
+                  block_bytes=65536, **fleet_kwargs):
+    """A :class:`Cluster` wired from ``(device, model)`` pairs.
+
+    For fleets a spec cannot express (stub devices, synthetic models).
+    ``fleet_kwargs`` go to :func:`build_fleet`; ``cache_blocks`` adds a
+    block-store tier with a cache of that many blocks.
+    """
+    sim = Simulator()
+    members, _ = build_fleet(sim, pairs, **fleet_kwargs)
+    service = OffloadService(sim, members, policy)
+    store = None
+    if cache_blocks is not None:
+        store = CompressedBlockStore(sim, service, BlockCache(cache_blocks),
+                                     block_bytes=block_bytes)
+    return Cluster(sim, service, store=store)

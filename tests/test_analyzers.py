@@ -403,7 +403,7 @@ class TestSanitizedSimulator:
         assert sim.entries_checked > 0
 
     def test_results_match_plain_simulator(self):
-        def drive(sim):
+        def run_workers(sim):
             log = []
 
             def worker(sim, delay):
@@ -415,7 +415,7 @@ class TestSanitizedSimulator:
             sim.run()
             return log
 
-        assert drive(Simulator()) == drive(SanitizedSimulator())
+        assert run_workers(Simulator()) == run_workers(SanitizedSimulator())
 
     def test_malformed_entry_shape_raises(self):
         from heapq import heappush

@@ -138,6 +138,20 @@ class TestSpecValidation:
         with pytest.raises(ClusterSpecError, match="encrypt"):
             FleetSpec(devices=(DeviceSpec("dpzip"),), ops=("encrypt",))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("fleet", "devices", None),
+        ("fleet", "batch_size", "4"),
+        ("fleet", "batch_timeout_ns", "x"),
+        (None, "pending_limit", "x"),
+        (None, "power_budget_w", "x"),
+    ])
+    def test_malformed_field_names_the_field(self, section, key, value):
+        data = rich_spec().to_dict()
+        (data[section] if section else data)[key] = value
+        field = f"{section}.{key}" if section else key
+        with pytest.raises(ClusterSpecError, match=rf"^{field} must be"):
+            ClusterSpec.from_dict(data)
+
     def test_reconfig_event_validation(self):
         with pytest.raises(ClusterSpecError, match="target device"):
             ReconfigEvent(at_ns=0.0, action="brown-out")

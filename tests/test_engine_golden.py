@@ -1,17 +1,18 @@
 """Byte-identity guards for the simulator hot-path rewrite.
 
-The event kernel, the scheduler's cost-table fast path and the stats
-vectorization are all rewrites of the timing source every subsystem
-shares, so their correctness bar is not "close" but **identical**:
+The event kernel, the cost model's per-size prediction memo and the
+stats vectorization are all rewrites of the timing source every
+subsystem shares, so their correctness bar is not "close" but
+**identical**:
 
 * the golden spec+seed run must produce byte-for-byte the same
   ``RunResult`` rows and exported Chrome trace as the pre-rewrite
   kernel (the files under ``tests/golden/`` were captured before the
   rewrite and are never regenerated casually — a diff here means the
   event interleaving or a float expression changed);
-* a :class:`~repro.service.model.CostTable` must predict bit-identical
-  ``ModeledCost`` values to the live model it wraps, for any size and
-  ratio.
+* a memoized :meth:`~repro.service.model.DeviceCostModel.predict` must
+  return bit-identical ``ModeledCost`` values to the unmemoized
+  arithmetic, cold or warm, for any size and ratio.
 
 Regenerating the goldens is a deliberate act (a *semantic* change to
 the simulation, not an optimisation): rerun the capture below against
@@ -26,9 +27,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import Cluster, TelemetrySpec, default_cluster_spec
+from repro.cluster import (
+    Cluster,
+    DeviceSpec,
+    TelemetrySpec,
+    default_cluster_spec,
+)
 from repro.errors import ServiceError
-from repro.service.model import CostTable, DeviceCostModel, RatioAnchor
+from repro.service.model import DeviceCostModel, ModeledCost, RatioAnchor
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -110,7 +116,38 @@ class TestGoldenRun:
         )
 
 
-class TestCostTable:
+def _reference_predict(model: DeviceCostModel, nbytes: int,
+                       ratio: float) -> ModeledCost:
+    """The unmemoized prediction: per-anchor linear fits interpolated in
+    ratio, recomputed on every call."""
+    def engine_ns(anchor: RatioAnchor) -> float:
+        return anchor.overhead_ns + anchor.per_byte_ns * nbytes
+
+    anchors = model.anchors
+    if ratio <= anchors[0].ratio:
+        engine = engine_ns(anchors[0])
+    elif ratio >= anchors[-1].ratio:
+        engine = engine_ns(anchors[-1])
+    else:
+        engine = engine_ns(anchors[-1])
+        for low, high in zip(anchors, anchors[1:]):
+            if low.ratio <= ratio <= high.ratio:
+                span = high.ratio - low.ratio
+                weight = (ratio - low.ratio) / span if span > 0 else 0.0
+                engine = (engine_ns(low) * (1 - weight)
+                          + engine_ns(high) * weight)
+                break
+    return ModeledCost(
+        submit_ns=max(model.submit_ns, 0.0),
+        pre_ns=max(model.pre_overhead_ns
+                   + model.pre_per_byte_ns * nbytes, 0.0),
+        engine_ns=max(engine, 1.0),
+        post_ns=max(model.post_overhead_ns
+                    + model.post_per_byte_ns * nbytes, 0.0),
+    )
+
+
+class TestCostModelMemo:
     def _model(self):
         return DeviceCostModel(
             anchors=[
@@ -123,23 +160,27 @@ class TestCostTable:
             post_overhead_ns=7.0, post_per_byte_ns=0.001,
         )
 
-    def test_bit_identical_to_live_model(self):
+    def test_bit_identical_to_reference_predict(self):
         model = self._model()
-        table = CostTable(model)
         rng = random.Random(3)
         cases = [(rng.randrange(1, 1 << 20), rng.uniform(0.0, 1.0))
                  for _ in range(300)]
         # Anchor boundaries and the clamped extremes, at a repeated
-        # size so the row-cache hit path is exercised too.
+        # size so the memo hit path is exercised too.
         cases += [(16384, ratio)
                   for ratio in (0.0, 0.3, 0.45, 0.6, 0.8, 1.0)] * 2
         for nbytes, ratio in cases:
-            expected = model.predict(nbytes, ratio)
-            got = table.predict(nbytes, ratio)
-            assert (got.submit_ns, got.pre_ns,
-                    got.engine_ns, got.post_ns) == \
-                   (expected.submit_ns, expected.pre_ns,
-                    expected.engine_ns, expected.post_ns)
+            expected = _reference_predict(model, nbytes, ratio)
+            cold = nbytes not in model._rows
+            got = model.predict(nbytes, ratio)
+            warm = model.predict(nbytes, ratio)
+            assert nbytes in model._rows
+            for cost in (got, warm):
+                assert (cost.submit_ns, cost.pre_ns,
+                        cost.engine_ns, cost.post_ns) == \
+                       (expected.submit_ns, expected.pre_ns,
+                        expected.engine_ns, expected.post_ns), (
+                    nbytes, ratio, cold)
 
     def test_single_anchor_model(self):
         model = DeviceCostModel(
@@ -147,53 +188,68 @@ class TestCostTable:
                                  per_byte_ns=0.5)],
             submit_ns=10.0,
         )
-        table = CostTable(model)
         for ratio in (0.0, 0.5, 1.0):
-            assert table.predict(4096, ratio) == model.predict(4096, ratio)
+            assert model.predict(4096, ratio) == \
+                _reference_predict(model, 4096, ratio)
 
     def test_engine_floor_preserved(self):
-        # The live model clamps engine time to >= 1 ns; the table must
-        # apply the same floor after interpolation.
+        # Engine time clamps to >= 1 ns after interpolation, cold and
+        # warm.
         model = DeviceCostModel(
             anchors=[RatioAnchor(ratio=1.0, overhead_ns=0.0,
                                  per_byte_ns=0.0)])
-        assert CostTable(model).predict(100, 1.0).engine_ns == 1.0
+        assert model.predict(100, 1.0).engine_ns == 1.0
+        assert model.predict(100, 1.0).engine_ns == 1.0
 
     def test_invalid_size_rejected(self):
-        table = CostTable(self._model())
+        model = self._model()
+        for _ in range(2):  # cold, then after a failed (unmemoized) call
+            with pytest.raises(ServiceError):
+                model.predict(0)
+            with pytest.raises(ServiceError):
+                model.predict(-5)
+        model.predict(4096)  # warm the memo with a valid size
         with pytest.raises(ServiceError):
-            table.predict(0)
+            model.predict(0)
         with pytest.raises(ServiceError):
-            table.predict(-5)
+            model.predict(-5)
+        assert set(model._rows) == {4096}
 
-    def test_cluster_attaches_shared_tables(self):
-        spec = default_cluster_spec()
+    def test_spec_fleet_shares_one_model_per_op(self):
+        spec = dataclasses.replace(
+            default_cluster_spec(),
+            fleet=dataclasses.replace(
+                default_cluster_spec().fleet,
+                devices=(DeviceSpec("qat4xxx", name="a"),
+                         DeviceSpec("qat4xxx", name="b")),
+                ops=("compress", "decompress")))
         cluster = Cluster.from_spec(spec)
-        devices = list(cluster.service.scheduler.devices)
-        if cluster.service.scheduler.spill_device is not None:
-            devices.append(cluster.service.scheduler.spill_device)
-        assert all(device.cost_tables for device in devices)
-        for device in devices:
-            for op, table in device.cost_tables.items():
-                # The table wraps exactly the model that would price
-                # this op, so fast path and fallback agree.
-                assert table.model is device.model_for(op)
+        first, second = cluster.service.scheduler.devices
+        for op in ("compress", "decompress"):
+            assert first.model_for(op) is second.model_for(op)
+            assert first.models[op] is second.models[op]
 
-    def test_derated_device_falls_back_to_live_model(self):
+    def test_derated_device_predicts_nominal_cost(self):
         from service_stubs import StubDevice, flat_model
         from repro.service.fleet import FleetDevice
         from repro.service.request import OffloadRequest
         from repro.sim.engine import Simulator
 
         sim = Simulator()
-        model = flat_model(engine_per_byte_ns=0.01)
+        model = flat_model(engine_per_byte_ns=0.01, submit_ns=5.0,
+                           pre_ns=3.0, post_ns=2.0)
         device = FleetDevice(sim, StubDevice(name="stub"), model)
-        device.cost_tables = {"compress": CostTable(model)}
         request = OffloadRequest(tenant=0, nbytes=4096, ratio=1.0)
-        fast = device._predict(request)
+        nominal = device._predict(request)
+        healthy = device.estimate_response_ns(request)
         device.set_speed(0.5)
         device._cost_cache = None
-        slow_path = device._predict(request)
-        # Same numbers either way (predict() is derate-independent);
-        # the point is the derated path stays on the live model.
-        assert fast == slow_path
+        derated = device._predict(request)
+        # The prediction is derate-independent ...
+        assert derated == nominal == model.predict(4096, 1.0)
+        # ... and the estimate scales only the engine terms.
+        assert device.estimate_response_ns(request) == \
+            nominal.engine_ns / 0.5 + nominal.submit_ns \
+            + nominal.pre_ns + nominal.post_ns
+        assert device.estimate_response_ns(request) - healthy == \
+            pytest.approx(nominal.engine_ns)

@@ -9,7 +9,8 @@ different placement mix than compress traffic.
 
 import pytest
 
-from service_stubs import StubDevice, flat_model
+from service_stubs import StubDevice, flat_model, parts_cluster
+from repro.cluster import Cluster, default_cluster_spec
 from repro.errors import StoreError, WorkloadError
 from repro.hw.engine import Placement
 from repro.service import (
@@ -17,16 +18,9 @@ from repro.service import (
     FleetDevice,
     OffloadService,
     SloClass,
-    calibrated_ops,
-    default_fleet,
 )
 from repro.sim.engine import Simulator
-from repro.store import (
-    BlockCache,
-    BlockMap,
-    CompressedBlockStore,
-    run_block_store,
-)
+from repro.store import BlockCache, BlockMap, CompressedBlockStore
 from repro.workloads import MixedStream, StoreOp
 
 
@@ -258,14 +252,6 @@ class TestStoreServing:
         assert store.metrics.failed_reads == 1
         assert store.metrics.read_latency.count == 0
 
-    def test_drive_rejects_mismatched_block_size(self):
-        sim = Simulator()
-        store = make_store(sim, block_bytes=4096)
-        stream = MixedStream(offered_gbps=1.0, duration_ns=1e5,
-                             block_bytes=8192)
-        with pytest.raises(StoreError):
-            store.drive(stream)
-
     def test_load_populates_every_block(self):
         sim = Simulator()
         store = make_store(sim)
@@ -291,19 +277,23 @@ class TestRunBlockStore:
         kwargs.setdefault("block_bytes", 4096)
         return MixedStream(seed=seed, **kwargs)
 
+    def _run(self):
+        stream = self._stream()
+        cluster = parts_cluster(self._fleet(), cache_blocks=16,
+                                block_bytes=stream.block_bytes)
+        cluster.store_client(stream)
+        return cluster.run().store
+
     def test_deterministic_given_seed(self):
-        first = run_block_store(self._stream(), fleet=self._fleet(),
-                                cache_blocks=16)
-        second = run_block_store(self._stream(), fleet=self._fleet(),
-                                 cache_blocks=16)
+        first = self._run()
+        second = self._run()
         assert first.reads == second.reads
         assert first.hit_rate == second.hit_rate
         assert first.read_p99_us == second.read_p99_us
         assert first.live_bytes == second.live_bytes
 
     def test_report_accounts_for_every_operation(self):
-        report = run_block_store(self._stream(), fleet=self._fleet(),
-                                 cache_blocks=16)
+        report = self._run()
         assert report.reads + report.writes > 0
         assert report.failed_reads == report.failed_writes == 0
         assert report.hit_rate > 0.0
@@ -317,8 +307,7 @@ class TestRunBlockStore:
         assert report.service.completed == report.service.offered
 
     def test_row_is_flat_and_table_ready(self):
-        report = run_block_store(self._stream(), fleet=self._fleet(),
-                                 cache_blocks=16)
+        report = self._run()
         row = report.row()
         assert {"policy", "read_gbps", "hit_rate", "read_p99_us"} <= set(row)
         assert all(not isinstance(v, (list, dict)) for v in row.values())
@@ -386,35 +375,37 @@ class TestStoreSloClasses:
 class TestMixedFleetIntegration:
     """Calibrated real devices — the store tier's acceptance checks."""
 
-    @pytest.fixture(scope="class")
-    def fleet(self):
-        return calibrated_ops(default_fleet())
-
     def _stream(self, read_fraction=0.8):
         return MixedStream(offered_gbps=36.0, duration_ns=2e6,
                            read_fraction=read_fraction, blocks=512,
                            block_bytes=65536, tenants=4, seed=11)
 
-    def test_cache_hits_reduce_read_tail_latency(self, fleet):
-        uncached = run_block_store(self._stream(), policy="cost-model",
-                                   fleet=fleet, cache_blocks=0)
-        cached = run_block_store(self._stream(), policy="cost-model",
-                                 fleet=fleet, cache_blocks=256)
+    def _run(self, cache_blocks):
+        # The calibrated default fleet (both ops), no spill reserve, no
+        # admission control, a 64 KiB-block store tier.
+        spec = default_cluster_spec(spill=False, store=True).with_overrides(
+            {"admission": None, "store.cache_blocks": cache_blocks})
+        cluster = Cluster.from_spec(spec)
+        cluster.store_client(self._stream())
+        return cluster.run().store
+
+    def test_cache_hits_reduce_read_tail_latency(self):
+        uncached = self._run(cache_blocks=0)
+        cached = self._run(cache_blocks=256)
         assert cached.hit_rate > 0.5
         assert cached.read_p50_us < 0.5 * uncached.read_p50_us
         assert cached.read_p99_us < 0.8 * uncached.read_p99_us
 
-    def test_decompress_traffic_shifts_placement(self, fleet):
+    def test_decompress_traffic_shifts_placement(self):
         from repro.experiments.store_scaling import placement_shift
-        report = run_block_store(self._stream(), policy="cost-model",
-                                 fleet=fleet, cache_blocks=64)
+        report = self._run(cache_blocks=64)
         assert report.service is not None
         decomp = report.service.placement_shares("decompress")
         comp = report.service.placement_shares("compress")
         assert decomp and comp
         assert placement_shift(report) > 0.05
 
-    def test_store_scaling_quick_experiment(self, fleet):
+    def test_store_scaling_quick_experiment(self):
         from repro.experiments.store_scaling import run_sweep
         result = run_sweep(read_fractions=(0.8,), cache_blocks=(0, 256),
                            policies=("cost-model",), duration_ns=2e6)

@@ -527,33 +527,6 @@ class TestExperimentBuilders:
         assert doc["rows"][1]["a"] == 2
 
 
-class TestDeprecatedShims:
-    def test_run_offload_service_warns_pointing_at_from_spec(self):
-        from service_stubs import StubDevice, flat_model
-        from repro.service import OpenLoopStream, run_offload_service
-        stream = OpenLoopStream(offered_gbps=0.5, duration_ns=1e4,
-                                request_sizes=(1000,), seed=1)
-        fleet = [(StubDevice(name="dev0"), flat_model(0.01))]
-        with pytest.warns(DeprecationWarning,
-                          match=r"Cluster\.from_spec"):
-            report = run_offload_service(stream, fleet=fleet)
-        assert report.offered >= 0
-
-    def test_run_block_store_warns_pointing_at_from_spec(self):
-        from service_stubs import StubDevice, flat_model
-        from repro.store import run_block_store
-        from repro.workloads import MixedStream
-        stream = MixedStream(offered_gbps=0.5, duration_ns=1e4,
-                             blocks=16, block_bytes=1000, seed=1)
-        fleet = [(StubDevice(name="dev0"),
-                  {"compress": flat_model(0.02),
-                   "decompress": flat_model(0.01)})]
-        with pytest.warns(DeprecationWarning,
-                          match=r"Cluster\.from_spec"):
-            report = run_block_store(stream, fleet=fleet, cache_blocks=4)
-        assert report.reads + report.writes >= 0
-
-
 class TestReplicates:
     def test_implicit_replicate_axis_is_innermost(self):
         spec = cheap_sweep(replicates=3)
