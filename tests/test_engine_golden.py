@@ -30,6 +30,7 @@ import pytest
 from repro.cluster import (
     Cluster,
     DeviceSpec,
+    StoreSpec,
     TelemetrySpec,
     default_cluster_spec,
 )
@@ -113,6 +114,85 @@ class TestGoldenRun:
             f"golden run popped {cluster.sim.entries_checked} heap "
             f"entries, expected {GOLDEN_KERNEL_ENTRIES}: the kernel work "
             f"per request changed"
+        )
+
+
+#: The store golden scenario: the default mixed fleet with a block-store
+#: tier, a 64-block cache over a 1024-block scrambled-Zipf key space, 16
+#: closed-loop connections thinking 1 us, and a fleet queue limit of 3,
+#: for 0.3 ms virtual.  Hits, misses, coalesced reads, PUTs and dropped
+#: GETs and PUTs (retried after the backoff) all occur.
+STORE_GOLDEN_STREAM = dict(offered_gbps=1.0, duration_ns=3e5,
+                           read_fraction=0.7, blocks=1024, seed=11)
+
+#: Heap entries the sanitized store golden run pops: an exact,
+#: host-independent count of kernel work.  The goldens were captured
+#: while the store's hit and miss paths and the closed-loop connections
+#: ran as generator processes.  A change here must be explained, never
+#: just re-pinned.
+STORE_GOLDEN_KERNEL_ENTRIES = 1372
+
+
+def _store_golden_cluster(sanitize: bool = False) -> Cluster:
+    base = default_cluster_spec(store=True)
+    spec = dataclasses.replace(
+        base,
+        fleet=dataclasses.replace(base.fleet, queue_limit=3),
+        store=StoreSpec(cache_blocks=64, client_window=16,
+                        client_think_ns=1000.0),
+        telemetry=TelemetrySpec(trace=True, metrics_interval_ns=1e5))
+    cluster = Cluster.from_spec(spec, sanitize=sanitize)
+    cluster.store_client(**STORE_GOLDEN_STREAM)
+    return cluster
+
+
+def _store_document(result) -> dict:
+    store = dataclasses.asdict(result.store)
+    del store["service"]
+    document = _result_document(result)
+    document["store"] = store
+    return document
+
+
+def _store_rows(result) -> bytes:
+    return (json.dumps(_store_document(result), indent=2,
+                       sort_keys=True) + "\n").encode()
+
+
+class TestStoreGoldenRun:
+    """The closed-loop block-store path, pinned byte for byte."""
+
+    def test_scenario_covers_every_store_path(self):
+        store = _store_golden_cluster().run().store
+        assert 0.0 < store.hit_rate < 1.0
+        assert store.coalesced_reads > 0
+        assert store.writes > 0
+        assert store.failed_reads > 0 and store.failed_writes > 0
+
+    def test_run_result_rows_byte_identical(self):
+        rows = _store_rows(_store_golden_cluster().run())
+        assert rows == (GOLDEN_DIR / "store_run_result.json").read_bytes(), (
+            "store golden rows changed: the store or closed-loop client "
+            "timing moved"
+        )
+
+    def test_exported_trace_byte_identical(self, tmp_path):
+        result = _store_golden_cluster().run()
+        trace_path = tmp_path / "trace.json"
+        result.export_trace(str(trace_path))
+        assert trace_path.read_bytes() == \
+            (GOLDEN_DIR / "store_trace.json").read_bytes(), (
+                "store golden trace changed: span timestamps or ordering "
+                "drifted"
+            )
+
+    def test_sanitized_kernel_work_pinned(self):
+        cluster = _store_golden_cluster(sanitize=True)
+        rows = _store_rows(cluster.run())
+        assert rows == (GOLDEN_DIR / "store_run_result.json").read_bytes()
+        assert cluster.sim.entries_checked == STORE_GOLDEN_KERNEL_ENTRIES, (
+            f"store golden run popped {cluster.sim.entries_checked} heap "
+            f"entries, expected {STORE_GOLDEN_KERNEL_ENTRIES}"
         )
 
 
