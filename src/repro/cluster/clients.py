@@ -25,7 +25,8 @@ rows next to the fleet-wide service/store reports.
 from __future__ import annotations
 
 import random
-from typing import Any, Generator
+from functools import partial
+from typing import Any
 
 from repro.errors import ClusterError, StoreError
 from repro.service.offload import OffloadService
@@ -97,20 +98,44 @@ class ClusterClient:
     # -- windowed-connection machinery (clients that set window/think/
     # retry_backoff and _live_connections; shared so the store and
     # service closed-loop protocols cannot silently diverge) -----------------
+    #
+    # A connection is a chain of kernel callbacks: ``_issue`` submits
+    # one op, the op's completion or drop hook calls ``_op_finished``,
+    # which relays to ``_pace`` through a zero-delay entry, and
+    # ``_pace`` issues the next op now or after a delay.  The relay
+    # keeps the next submission out of the completion chain: it runs
+    # after the scheduler's ``pump()`` at the same instant.
+
+    def _start_connection(self, connection: Any) -> None:
+        self._live_connections += 1
+        self.sim.call_later(0.0, partial(self._issue, connection))
+
+    def _issue(self, connection: Any) -> None:
+        """Submit the connection's next op, or close it at the window's
+        end.  Subclasses submit through :meth:`_track_submit`."""
+        raise NotImplementedError
 
     def _track_submit(self) -> None:
         self.submitted += 1
         self.inflight += 1
         self.peak_inflight = max(self.peak_inflight, self.inflight)
 
-    def _pace(self, outcome: str) -> Generator[Any, Any, None]:
+    def _op_finished(self, connection: Any, outcome: str) -> None:
+        self.inflight -= 1
+        self.sim.call_later(0.0, partial(self._pace, connection, outcome))
+
+    def _pace(self, connection: Any, outcome: str) -> None:
         """Post-completion pacing: back off after a drop (a saturated
         fleet sheds synchronously, and an instant resubmit would freeze
         virtual time in a shed storm), think after a completion."""
         if outcome == "dropped":
-            yield self.sim.timeout(self.retry_backoff_ns)
+            self.sim.call_later(self.retry_backoff_ns,
+                                partial(self._issue, connection))
         elif self.think_ns > 0:
-            yield self.sim.timeout(self.think_ns)
+            self.sim.call_later(self.think_ns,
+                                partial(self._issue, connection))
+        else:
+            self._issue(connection)
 
     def _connection_done(self) -> None:
         self._live_connections -= 1
@@ -242,10 +267,9 @@ class ClosedLoopClient(ClusterClient):
         self._live_connections = 0
 
     def _spawn(self) -> None:
-        self._live_connections = self.window
         for connection in range(self.window):
-            self.sim.spawn(self._connection(
-                random.Random(f"{self.seed}/{connection}/{self.name}")))
+            self._start_connection(
+                random.Random(f"{self.seed}/{connection}/{self.name}"))
 
     def _make_request(self, rng: random.Random) -> OffloadRequest:
         low, high = self.ratio_range
@@ -257,31 +281,24 @@ class ClosedLoopClient(ClusterClient):
             slo=self.slo,
         )
 
-    def _connection(self, rng: random.Random) -> Generator[Any, Any, None]:
-        while self.sim.now < self.duration_ns:
-            request = self._make_request(rng)
-            finished = self.sim.event()
-            self._track_submit()
-            self.service.submit(
-                request,
-                on_complete=lambda req, dev, cost, finished=finished:
-                    self._complete(req, finished),
-                on_drop=lambda req, finished=finished:
-                    self._drop(req, finished),
-            )
-            outcome = yield finished
-            yield from self._pace(outcome)
-        self._connection_done()
+    def _issue(self, rng: random.Random) -> None:
+        if self.sim.now >= self.duration_ns:
+            self._connection_done()
+            return
+        request = self._make_request(rng)
+        self._track_submit()
+        self.service.submit(request,
+                            on_complete=partial(self._complete, rng),
+                            on_drop=partial(self._drop, rng))
 
-    def _complete(self, request: OffloadRequest, finished) -> None:
-        self.inflight -= 1
+    def _complete(self, rng: random.Random, request: OffloadRequest,
+                  device, cost) -> None:
         self._record_completion(request)
-        finished.succeed("completed")
+        self._op_finished(rng, "completed")
 
-    def _drop(self, request: OffloadRequest, finished) -> None:
-        self.inflight -= 1
+    def _drop(self, rng: random.Random, request: OffloadRequest) -> None:
         self.failed += 1
-        finished.succeed("dropped")
+        self._op_finished(rng, "dropped")
 
     def row(self) -> dict:
         row = super().row()
@@ -348,68 +365,70 @@ class StoreClient(ClusterClient):
                             seed=self.stream.seed + 2)
         # The measurement horizon on the store is owned by Cluster.run
         # (the longest client duration), not reset per client.
-        if self.window is None:
-            self.sim.spawn(self._arrivals())
-        else:
-            self._live_connections = self.window
-            for connection in range(self.window):
-                self.sim.spawn(self._connection(connection))
-
-    def _arrivals(self) -> Generator[Any, Any, None]:
         stream = self.stream
-        rng = stream.rng()
-        keys = stream.key_generator()
-        while True:
-            yield self.sim.timeout(stream.next_gap_ns(rng))
-            if self.sim.now >= stream.duration_ns:
-                break
-            op = stream.make_op(rng, keys)
-            self.submitted += 1
-            if op.kind == "read":
-                self.reads += 1
-                self.store.get(op.block, op.tenant)
-            else:
-                self.writes += 1
-                self.store.put(op.block, op.tenant, op.ratio)
-        self._done()
+        if self.window is None:
+            self._rng = stream.rng()
+            self._keys = stream.key_generator()
+            self.sim.call_later(0.0, self._schedule_arrival)
+            return
+        for index in range(self.window):
+            # String-derived key seed: integer offsets from stream.seed
+            # would collide with the preload RNG (seed + 2) and the
+            # shared open-loop key stream (seed + 1).
+            self._start_connection((
+                random.Random(f"{stream.seed}/{index}/{self.name}"),
+                ScrambledZipfian(stream.blocks, theta=stream.zipf_theta,
+                                 seed=f"{stream.seed}/keys/{index}")))
+
+    # -- open-loop arrivals ------------------------------------------------------
+
+    def _schedule_arrival(self) -> None:
+        self.sim.call_later(self.stream.next_gap_ns(self._rng), self._arrive)
+
+    def _arrive(self) -> None:
+        if self.sim.now >= self.stream.duration_ns:
+            self._done()
+            return
+        op = self.stream.make_op(self._rng, self._keys)
+        self.submitted += 1
+        if op.kind == "read":
+            self.reads += 1
+            self.store.get(op.block, op.tenant)
+        else:
+            self.writes += 1
+            self.store.put(op.block, op.tenant, op.ratio)
+        self._schedule_arrival()
 
     # -- closed-loop connections -----------------------------------------------
 
-    def _connection(self, index: int) -> Generator[Any, Any, None]:
-        stream = self.stream
-        rng = random.Random(f"{stream.seed}/{index}/{self.name}")
-        # String-derived key seed: integer offsets from stream.seed
-        # would collide with the preload RNG (seed + 2) and the shared
-        # open-loop key stream (seed + 1).
-        keys = ScrambledZipfian(stream.blocks, theta=stream.zipf_theta,
-                                seed=f"{stream.seed}/keys/{index}")
-        while self.sim.now < self.duration_ns:
-            op = stream.make_op(rng, keys)
-            started = self.sim.now
-            finished = self.sim.event()
-            self._track_submit()
+    def _issue(self, connection: tuple[random.Random,
+                                       ScrambledZipfian]) -> None:
+        if self.sim.now >= self.duration_ns:
+            self._connection_done()
+            return
+        rng, keys = connection
+        op = self.stream.make_op(rng, keys)
+        self._track_submit()
+        done = partial(self._op_done, connection, self.sim.now)
+        if op.kind == "read":
+            self.reads += 1
+            self.store.get(op.block, op.tenant, on_done=done)
+        else:
+            self.writes += 1
+            self.store.put(op.block, op.tenant, op.ratio, on_done=done)
 
-            def done(outcome: str, started=started, finished=finished):
-                self.inflight -= 1
-                if outcome == "completed":
-                    self.completed += 1
-                    self.latency.record(self.sim.now - started)
-                    self.completed_bytes += self.stream.block_bytes
-                    if self.sim.now <= self.duration_ns:
-                        self.window_bytes += self.stream.block_bytes
-                else:
-                    self.failed += 1
-                finished.succeed(outcome)
-
-            if op.kind == "read":
-                self.reads += 1
-                self.store.get(op.block, op.tenant, on_done=done)
-            else:
-                self.writes += 1
-                self.store.put(op.block, op.tenant, op.ratio, on_done=done)
-            outcome = yield finished
-            yield from self._pace(outcome)
-        self._connection_done()
+    def _op_done(self, connection: tuple[random.Random, ScrambledZipfian],
+                 started: float, outcome: str) -> None:
+        if outcome == "completed":
+            block_bytes = self.stream.block_bytes
+            self.completed += 1
+            self.latency.record(self.sim.now - started)
+            self.completed_bytes += block_bytes
+            if self.sim.now <= self.duration_ns:
+                self.window_bytes += block_bytes
+        else:
+            self.failed += 1
+        self._op_finished(connection, outcome)
 
     @property
     def goodput_gbps(self) -> float:

@@ -458,6 +458,10 @@ class StoreSpec:
             raise ClusterSpecError(
                 f"cache size must be >= 0, got {self.cache_blocks}"
             )
+        if self.ghost_blocks is not None and self.ghost_blocks < 0:
+            raise ClusterSpecError(
+                f"ghost cache size must be >= 0, got {self.ghost_blocks}"
+            )
         if self.client_window is not None and self.client_window < 1:
             raise ClusterSpecError(
                 f"store client window must be >= 1, "
@@ -474,16 +478,26 @@ class StoreSpec:
         _check_keys(cls, data)
         spec = cls()
         return cls(
-            block_bytes=data.get("block_bytes", spec.block_bytes),
-            segment_bytes=data.get("segment_bytes"),
-            cache_blocks=data.get("cache_blocks", spec.cache_blocks),
-            ghost_blocks=data.get("ghost_blocks"),
+            block_bytes=_number(data, "block_bytes", spec.block_bytes,
+                                "store.block_bytes", integer=True),
+            segment_bytes=_number(data, "segment_bytes", None,
+                                  "store.segment_bytes", integer=True,
+                                  optional=True),
+            cache_blocks=_number(data, "cache_blocks", spec.cache_blocks,
+                                 "store.cache_blocks", integer=True),
+            ghost_blocks=_number(data, "ghost_blocks", None,
+                                 "store.ghost_blocks", integer=True,
+                                 optional=True),
             read_slo=(SloSpec.from_dict(data["read_slo"])
                       if "read_slo" in data else spec.read_slo),
             write_slo=(SloSpec.from_dict(data["write_slo"])
                        if "write_slo" in data else spec.write_slo),
-            client_window=data.get("client_window"),
-            client_think_ns=data.get("client_think_ns", 0.0),
+            client_window=_number(data, "client_window", None,
+                                  "store.client_window", integer=True,
+                                  optional=True),
+            client_think_ns=_number(data, "client_think_ns",
+                                    spec.client_think_ns,
+                                    "store.client_think_ns"),
         )
 
 

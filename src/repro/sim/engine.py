@@ -22,12 +22,15 @@ trades a little uniformity for allocation-free fast paths:
   share a timestamp in one inner loop.
 
 The per-request path does not use processes at all: the device
-submitter and pre/engine/post pipeline, the QoS engine loops and the
-open-loop arrivals are chains of bare callbacks (``functools.partial``
-objects and bound methods) that hop with :meth:`Simulator.call_later`
-and :meth:`Event.add_callback`, so ``run`` tests for those two types
-first.  Generator processes remain for the control plane, the block
-store and closed-loop clients, where readability beats the resume cost.
+submitter and pre/engine/post pipeline, the QoS engine loops, the
+block store's hit and miss service and every client (open-loop
+arrivals and windowed connections) are chains of bare callbacks
+(``functools.partial`` objects and bound methods) that hop with
+:meth:`Simulator.call_later` and :meth:`Event.add_callback`, so
+``run`` tests for those two types first.  Generator processes remain
+only where work is per run, not per request, and readability beats
+the resume cost: the control plane (reconfiguration and the fleet
+controller), the telemetry samplers and the ``virt.tenancy`` tenants.
 
 Determinism is unchanged: entries fire in ``(when, seq)`` order and
 ``seq`` is a single monotone counter, so two runs of the same seeded

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator
+from functools import partial
+from typing import Callable
 
 from repro.errors import StoreError
 from repro.service.fleet import FleetDevice
@@ -271,8 +272,8 @@ class CompressedBlockStore:
                 tel.instant("store", "cache-probe", arrival, {
                     "req": op_id, "block": block, "outcome": "hit",
                 })
-            self.sim.spawn(self._serve_hit(arrival, on_done, block=block,
-                                           op_id=op_id))
+            self.sim.call_later(0.0, partial(self._serve_hit, arrival,
+                                             on_done, block, op_id))
             return "hit"
         if block in self._pending_reads:
             # Another reader already has this block's decompress in
@@ -291,15 +292,25 @@ class CompressedBlockStore:
             })
         location = self.blockmap.lookup(block)
         self._pending_reads[block] = [(arrival, on_done, op_id)]
-        self.sim.spawn(self._serve_miss(block, tenant, location.length))
+        self.sim.call_later(0.0, partial(self._serve_miss, block, tenant,
+                                         location.length))
         return "miss"
 
+    # Hit and miss service are kernel callback chains.  ``get`` defers
+    # each by a zero-delay entry before the copy or media delay is
+    # scheduled; keep that hop, since dropping it would reorder entries
+    # that share an instant (the store golden run pins the order).
+
     def _serve_hit(self, arrival_ns: float,
-                   on_done: Callable[[str], None] | None = None, *,
-                   block: int = -1, op_id: int = -1,
-                   ) -> Generator[Any, Any, None]:
-        yield self.sim.timeout(self.hit_overhead_ns
-                               + self.hit_per_byte_ns * self.block_bytes)
+                   on_done: Callable[[str], None] | None,
+                   block: int, op_id: int) -> None:
+        self.sim.call_later(
+            self.hit_overhead_ns + self.hit_per_byte_ns * self.block_bytes,
+            partial(self._hit_done, arrival_ns, on_done, block, op_id))
+
+    def _hit_done(self, arrival_ns: float,
+                  on_done: Callable[[str], None] | None,
+                  block: int, op_id: int) -> None:
         self._finish_read(arrival_ns, self.metrics.hit_latency)
         tel = self.telemetry
         if tel.tracing:
@@ -310,49 +321,56 @@ class CompressedBlockStore:
             on_done("completed")
 
     def _serve_miss(self, block: int, tenant: int,
-                    compressed_len: int) -> Generator[Any, Any, None]:
+                    compressed_len: int) -> None:
         # Fetch the compressed extent from media, then decompress via
-        # the fleet.  The request carries the *decompressed* size (what
-        # the per-op cost models are fitted on) and the block's stored
-        # achieved ratio.
-        yield self.sim.timeout(self.media_overhead_ns
-                               + self.media_per_byte_ns * compressed_len)
+        # the fleet.
+        self.sim.call_later(
+            self.media_overhead_ns + self.media_per_byte_ns * compressed_len,
+            partial(self._submit_decompress, block, tenant, compressed_len))
+
+    def _submit_decompress(self, block: int, tenant: int,
+                           compressed_len: int) -> None:
+        # The request carries the *decompressed* size (what the per-op
+        # cost models are fitted on) and the block's stored achieved
+        # ratio.
         request = OffloadRequest(tenant=tenant, nbytes=self.block_bytes,
                                  ratio=compressed_len / self.block_bytes,
                                  op="decompress", slo=self.read_slo)
+        self.service.submit(
+            request,
+            on_complete=partial(self._decompress_completed, block),
+            on_drop=partial(self._decompress_dropped, block))
 
+    def _decompress_completed(self, block: int, req: OffloadRequest,
+                              device: FleetDevice,
+                              cost: ModeledCost) -> None:
+        self.cache.insert(block)
         tel = self.telemetry
+        for index, (waiter_arrival, waiter_done, waiter_op) in \
+                enumerate(self._pending_reads.pop(block, [])):
+            self._finish_read(waiter_arrival, self.metrics.miss_latency)
+            if tel.tracing:
+                tel.span("store", "get", waiter_arrival, self.sim.now, {
+                    "req": waiter_op, "block": block,
+                    "outcome": "miss" if index == 0 else "coalesced",
+                    "decompress_req": req.trace_id,
+                })
+            if waiter_done is not None:
+                waiter_done("completed")
 
-        def completed(req: OffloadRequest, device: FleetDevice,
-                      cost: ModeledCost) -> None:
-            self.cache.insert(block)
-            for index, (waiter_arrival, waiter_done, waiter_op) in \
-                    enumerate(self._pending_reads.pop(block, [])):
-                self._finish_read(waiter_arrival, self.metrics.miss_latency)
-                if tel.tracing:
-                    tel.span("store", "get", waiter_arrival, self.sim.now, {
-                        "req": waiter_op, "block": block,
-                        "outcome": "miss" if index == 0 else "coalesced",
-                        "decompress_req": req.trace_id,
-                    })
-                if waiter_done is not None:
-                    waiter_done("completed")
-
-        def dropped(req: OffloadRequest) -> None:
-            # Fires on a synchronous shed *or* a later eviction of the
-            # queued decompress; every coalesced waiter fails with it.
-            waiters = self._pending_reads.pop(block, [])
-            self.metrics.failed_reads += len(waiters)
-            for _, waiter_done, waiter_op in waiters:
-                if tel.tracing:
-                    tel.instant("store", "get-drop", self.sim.now, {
-                        "req": waiter_op, "block": block,
-                    })
-                if waiter_done is not None:
-                    waiter_done("dropped")
-
-        self.service.submit(request, on_complete=completed,
-                            on_drop=dropped)
+    def _decompress_dropped(self, block: int, req: OffloadRequest) -> None:
+        # Fires on a synchronous shed *or* a later eviction of the
+        # queued decompress; every coalesced waiter fails with it.
+        tel = self.telemetry
+        waiters = self._pending_reads.pop(block, [])
+        self.metrics.failed_reads += len(waiters)
+        for _, waiter_done, waiter_op in waiters:
+            if tel.tracing:
+                tel.instant("store", "get-drop", self.sim.now, {
+                    "req": waiter_op, "block": block,
+                })
+            if waiter_done is not None:
+                waiter_done("dropped")
 
     def _finish_read(self, arrival_ns: float,
                      recorder: LatencyRecorder) -> None:

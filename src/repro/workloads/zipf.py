@@ -8,6 +8,7 @@ variant that decorrelates popularity from key order.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from repro.errors import WorkloadError
 
@@ -29,8 +30,10 @@ def fnv1a_64(value: int) -> int:
 class ZipfianGenerator:
     """Zipf-distributed integers in ``[0, item_count)``.
 
-    theta defaults to YCSB's 0.99.  zeta(n) is computed once per item
-    count; for the corpus sizes used here that is fast enough.
+    theta defaults to YCSB's 0.99.  zeta(n) is memoized per
+    ``(item count, theta)`` (the 128 most recent pairs) and shared by
+    every generator: closed-loop store clients build one per
+    connection.
     """
 
     def __init__(self, item_count: int, theta: float = 0.99,
@@ -56,6 +59,7 @@ class ZipfianGenerator:
                          / denominator)
 
     @staticmethod
+    @lru_cache(maxsize=128)
     def _compute_zeta(n: int, theta: float) -> float:
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 

@@ -144,6 +144,13 @@ class TestSpecValidation:
         ("fleet", "batch_timeout_ns", "x"),
         (None, "pending_limit", "x"),
         (None, "power_budget_w", "x"),
+        ("store", "client_window", "8"),
+        ("store", "client_window", True),
+        ("store", "block_bytes", "x"),
+        ("store", "segment_bytes", 1.5),
+        ("store", "cache_blocks", 1.5),
+        ("store", "ghost_blocks", "8"),
+        ("store", "client_think_ns", None),
     ])
     def test_malformed_field_names_the_field(self, section, key, value):
         data = rich_spec().to_dict()
@@ -436,6 +443,8 @@ class TestClosedLoopStoreClient:
             StoreSpec(client_window=0)
         with pytest.raises(ClusterSpecError, match="think"):
             StoreSpec(client_think_ns=-1.0)
+        with pytest.raises(ClusterSpecError, match="ghost"):
+            StoreSpec(ghost_blocks=-1)
 
 
 class TestReconfigSchedule:

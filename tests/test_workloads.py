@@ -141,6 +141,16 @@ class TestZipf:
         with pytest.raises(WorkloadError):
             ZipfianGenerator(0)
 
+    @pytest.mark.parametrize("items, theta", [
+        (1, 0.99), (2, 0.5), (1000, 0.99), (8192, 0.99), (8192, 0.8)])
+    def test_memoized_zeta_equals_the_plain_sum(self, items, theta):
+        plain = sum(1.0 / (i ** theta) for i in range(1, items + 1))
+        first = ZipfianGenerator(items, theta, seed=1)
+        second = ScrambledZipfian(items, theta, seed=2)._zipf
+        assert first._zeta == second._zeta == plain
+        assert ZipfianGenerator._compute_zeta(2, theta) == \
+            1.0 + 1.0 / 2 ** theta
+
 
 class TestYcsb:
     def test_workload_a_mix(self):
