@@ -7,7 +7,8 @@ Two questions, tracked over time:
   global router on one shared simulator;
 * what does socket dispatch cost per sweep point — the same tiny grid
   through the inline runner vs. fanned out over two local socket
-  workers (connection setup, frame pickling, heartbeats included).
+  workers (connection setup and handshake, message pickling,
+  heartbeats included).
 
 The per-run simulations are deliberately tiny: the orchestration
 layers are the workload here, not the fleet.
@@ -100,9 +101,9 @@ def test_bench_sweep_inline(benchmark, warm_models):
 
 def test_bench_sweep_socket_dispatch(benchmark, warm_models):
     """Same grid over two local socket workers (the dispatch tax:
-    fork + connect + frame pickling + heartbeats)."""
+    fork + connect + handshake + message pickling + heartbeats)."""
     result = benchmark(lambda: SweepRunner(
-        _sweep_spec(), workers=2, distributed=True).run())
+        _sweep_spec(), workers=2).run())
     assert len(result.rows()) == _POINTS
     benchmark.extra_info["per_point_ms"] = round(
         benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
@@ -111,8 +112,7 @@ def test_bench_sweep_socket_dispatch(benchmark, warm_models):
 def test_bench_socket_rows_match_inline(warm_models, show_tables):
     """Dispatch must buy wall-clock only — never different rows."""
     inline = SweepRunner(_sweep_spec()).run()
-    sockets = SweepRunner(_sweep_spec(), workers=2,
-                          distributed=True).run()
+    sockets = SweepRunner(_sweep_spec(), workers=2).run()
     assert json.dumps(inline.rows()) == json.dumps(sockets.rows())
     if show_tables:
         print("\n" + inline.table())

@@ -1,14 +1,13 @@
-"""Sweep-runner overhead benchmarks: inline vs worker-pool execution.
+"""Sweep-runner overhead benchmarks: the runner vs bare points.
 
 Tracks the cost of the orchestration layer itself — the same small
 grid executed point-by-point through :func:`repro.sweep.run_point`
-(no runner), through :class:`SweepRunner` inline, and over a
-2-process pool — so future PRs can see expansion/collection overhead
-and the pool's fork/pickle tax per point.  The per-point simulations
-are deliberately tiny: the grid is the workload here, not the fleet.
+(no runner) and through :class:`SweepRunner` inline — so future
+changes can see expansion/collection overhead per point.  The worker
+dispatch tax is tracked by ``test_bench_federation.py``.  The
+per-point simulations are deliberately tiny: the grid is the workload
+here, not the fleet.
 """
-
-import json
 
 import pytest
 
@@ -54,10 +53,6 @@ def _run_serial():
     return SweepRunner(_spec(), workers=0).run()
 
 
-def _run_pool():
-    return SweepRunner(_spec(), workers=2).run()
-
-
 def _run_bare():
     """The floor: the same points with no runner around them."""
     return [run_point(point) for point in _spec().expand()]
@@ -78,20 +73,3 @@ def test_bench_sweep_serial(benchmark, warm_models):
     benchmark.extra_info["per_point_ms"] = round(
         benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
 
-
-def test_bench_sweep_two_workers(benchmark, warm_models):
-    """Same grid over a 2-process pool (fork + pickle tax included)."""
-    result = benchmark(_run_pool)
-    assert len(result.rows()) == _POINTS
-    benchmark.extra_info["points"] = _POINTS
-    benchmark.extra_info["per_point_ms"] = round(
-        benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
-
-
-def test_bench_sweep_pool_matches_inline(warm_models, show_tables):
-    """The pool must buy wall-clock only — never different rows."""
-    serial = _run_serial()
-    pooled = _run_pool()
-    assert json.dumps(serial.rows()) == json.dumps(pooled.rows())
-    if show_tables:
-        print("\n" + serial.table())

@@ -127,7 +127,7 @@ def measure_dispatch() -> dict:
     inline = SweepRunner(spec).run()
     inline_wall = time.perf_counter() - start
     start = time.perf_counter()
-    sockets = SweepRunner(spec, workers=2, distributed=True).run()
+    sockets = SweepRunner(spec, workers=2).run()
     sockets_wall = time.perf_counter() - start
     return {
         "points": DISPATCH_POINTS,

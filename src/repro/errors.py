@@ -120,11 +120,12 @@ class FederationSpecError(FederationError, ValueError):
 
 class DispatchError(FederationError):
     """Raised by the distributed sweep dispatch layer
-    (:mod:`repro.federation.dispatch`): truncated or malformed protocol
-    frames, protocol-version mismatches, workers dying mid-point with
-    the requeue budget exhausted, or every worker dead with grid points
-    still unserved.  Never a bare :class:`EOFError` — a half-received
-    frame is reported with the byte counts."""
+    (:mod:`repro.federation.dispatch`): a missing worker key, a lost
+    connection or undecodable message, protocol-version mismatches,
+    workers dying mid-point with the requeue budget exhausted, or every
+    worker dead with grid points still unserved.  Never a bare
+    :class:`EOFError` — a connection closed mid-message is reported as
+    lost."""
 
 
 class StoreError(ReproError):

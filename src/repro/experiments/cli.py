@@ -19,9 +19,9 @@ defaults):
   attribution, ``--trace`` exports the annotated trace;
 * ``repro-experiment sweep --spec sweep.json --workers N`` — a whole
   experiment grid from one declarative
-  :class:`~repro.sweep.SweepSpec` document, executed inline, over a
-  process pool, or — with ``--distributed`` / ``--hosts`` — over a
-  socket-backed worker fleet with byte-identical rows
+  :class:`~repro.sweep.SweepSpec` document, executed inline or — with
+  ``--workers N`` / ``--hosts`` — over authenticated socket workers
+  with byte-identical rows
   (``--example-spec`` runs the built-in smoke grid,
   ``--print-example-spec`` dumps its JSON);
 * ``repro-experiment federation --spec federation.json`` — one
@@ -31,7 +31,8 @@ defaults):
   (``--example-spec`` prints a 3-cluster, 100k-tenant starting point);
 * ``repro-experiment worker --listen HOST:PORT`` — a sweep worker
   process that serves grid points to distributed drivers
-  (``repro-experiment sweep --hosts ...``);
+  (``repro-experiment sweep --hosts ...``) holding the same
+  ``REPRO_WORKER_KEY``;
 * ``repro-experiment service [options]`` — the compress-offload
   scaling sweep (offered load x fleet mix x dispatch policy);
 * ``repro-experiment store [options]`` — the compressed block-store
@@ -376,8 +377,8 @@ def sweep_main(argv: list[str]) -> int:
         parents=[_sweep_options(), _telemetry_options()],
         description="Expand a declarative SweepSpec document into its "
                     "grid of cluster specs and run every point — "
-                    "inline, or fanned out over --workers processes "
-                    "with identical results.",
+                    "inline, or fanned out over --workers local or "
+                    "--hosts remote workers with identical results.",
     )
     parser.add_argument("--spec", metavar="sweep.json",
                         help="path to a SweepSpec JSON document")
@@ -392,13 +393,10 @@ def sweep_main(argv: list[str]) -> int:
     parser.add_argument("--continue-on-error", action="store_true",
                         help="record failing points and keep sweeping "
                              "instead of failing fast")
-    parser.add_argument("--distributed", action="store_true",
-                        help="fan points out over socket workers "
-                             "(spawns --workers localhost processes "
-                             "unless --hosts lists pre-started ones)")
     parser.add_argument("--hosts", nargs="+", metavar="HOST:PORT",
                         help="pre-started 'repro-experiment worker' "
-                             "addresses (implies --distributed)")
+                             "addresses; the driver and the workers "
+                             "share the REPRO_WORKER_KEY secret")
     parser.add_argument("--heartbeat-timeout-s", type=float, default=10.0,
                         help="seconds of worker silence before the "
                              "driver declares it dead and requeues "
@@ -435,15 +433,14 @@ def sweep_main(argv: list[str]) -> int:
             spec, workers=args.workers,
             on_error="continue" if args.continue_on_error else "raise",
             progress=progress,
-            distributed=args.distributed,
             hosts=args.hosts,
             heartbeat_timeout_s=args.heartbeat_timeout_s)
         result = runner.run()
     except (OSError, ReproError) as error:
         print(f"repro-experiment sweep: error: {error}", file=sys.stderr)
         return 2
-    backend = ("sockets" if runner.distributed
-               else ("inline" if args.workers == 0 else "pool"))
+    backend = ("inline" if args.workers == 0 and args.hosts is None
+               else "workers")
     print(f"== sweep: {len(result.points)} points "
           f"(grid {spec.grid_size()}), root seed {spec.root_seed}, "
           f"workers {args.workers}, backend {backend} ==")
@@ -557,7 +554,7 @@ def federation_main(argv: list[str]) -> int:
 
 def worker_main(argv: list[str]) -> int:
     """The ``worker`` subcommand: serve sweep points to remote drivers."""
-    from repro.federation import serve_worker
+    from repro.federation.dispatch import serve_worker, worker_key
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment worker",
@@ -567,7 +564,9 @@ def worker_main(argv: list[str]) -> int:
                     "executes the grid points it sends, and streams "
                     "results (and heartbeats) back. One driver at a "
                     "time; runs until interrupted unless "
-                    "--max-sessions caps it.",
+                    "--max-sessions caps it. Only drivers holding the "
+                    "REPRO_WORKER_KEY secret set here get past the "
+                    "handshake; the worker refuses to start without it.",
     )
     parser.add_argument("--listen", metavar="HOST:PORT",
                         default="127.0.0.1:0",
@@ -580,6 +579,11 @@ def worker_main(argv: list[str]) -> int:
                         help="exit after serving this many driver "
                              "sessions (default: run forever)")
     args = parser.parse_args(argv)
+    try:
+        authkey = worker_key()
+    except ReproError as error:
+        print(f"repro-experiment worker: error: {error}", file=sys.stderr)
+        return 2
     host, _, port_text = args.listen.rpartition(":")
     if not host or not port_text:
         print(f"repro-experiment worker: error: --listen must be "
@@ -597,7 +601,8 @@ def worker_main(argv: list[str]) -> int:
               f"{host}:{bound_port}", flush=True)
 
     try:
-        serve_worker(host, port, max_sessions=args.max_sessions,
+        serve_worker(host, port, authkey=authkey,
+                     max_sessions=args.max_sessions,
                      heartbeat_interval_s=args.heartbeat_interval_s,
                      ready=announce)
     except KeyboardInterrupt:

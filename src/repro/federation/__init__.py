@@ -12,11 +12,11 @@ Three layers scale the single-cluster stack out:
 * *million-user traffic* — the federation workload reuses
   :mod:`repro.workloads.population` (heavy-tailed tenant populations,
   diurnal rate modulation) declared straight in the JSON document;
-* *distributed sweeps* — :mod:`repro.federation.dispatch` turns
-  :class:`~repro.sweep.runner.SweepRunner` into a distributed driver
-  over a socket-backed worker pool, row-for-row byte-identical to the
-  inline runner regardless of worker count, join order, or mid-run
-  worker death.
+* *distributed sweeps* — :mod:`repro.federation.dispatch` runs
+  :class:`~repro.sweep.runner.SweepRunner` grids over authenticated
+  socket workers (forked locally or pre-started remotely), row-for-row
+  byte-identical to the inline runner regardless of worker count, join
+  order, or mid-run worker death.
 """
 
 from repro.federation.dispatch import (

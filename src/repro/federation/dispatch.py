@@ -1,19 +1,18 @@
-"""Socket-backed distributed sweep dispatch.
+"""Authenticated sweep dispatch over :mod:`multiprocessing.connection`.
 
-A tiny length-prefixed pickle protocol turns
-:class:`~repro.sweep.runner.SweepRunner` into a distributed driver:
-workers (``repro-experiment worker --listen HOST:PORT``, or in-process
-via :func:`spawn_local_workers`) accept fully-resolved
+Workers (``repro-experiment worker``, or the forked localhost processes
+of :func:`spawn_local_workers`) run fully-resolved
 :class:`~repro.sweep.spec.SweepPoint` documents one at a time and ship
-back ``(index, RunResult, error)`` triples.  Because every point's
-RNGs derive from the spec — never from execution order — the driver
-writes results through ``point.index`` and the sweep table is
-row-for-row byte-identical to the inline runner regardless of worker
-count, join order, or mid-run worker death.
+back ``(index, RunResult, error)`` triples.  Every point's RNGs derive
+from the spec, so the driver writes results through ``point.index``
+and the rows are byte-identical to the inline runner whatever the
+worker count, join order or mid-run worker death.
 
-Wire format: every frame is a 4-byte big-endian payload length
-followed by a pickle.  Messages are tuples tagged by their first
-element::
+A keyed :class:`~multiprocessing.connection.Listener` runs an HMAC
+challenge-response before any message is unpickled, so a peer without
+the key never gets its bytes decoded.  Local workers get a fresh random
+key per run; remote workers share ``REPRO_WORKER_KEY`` with the driver.
+Messages are pickled tuples tagged by their first element::
 
     ("hello", PROTOCOL_VERSION)        worker -> driver, on connect
     ("task", point)                    driver -> worker
@@ -21,78 +20,76 @@ element::
     ("heartbeat",)                     worker -> driver, periodic
     ("shutdown",)                      driver -> worker, session end
 
-Liveness: workers send heartbeats from a side thread while computing,
-the driver reads with ``heartbeat_timeout_s`` socket timeouts, and a
-silent or dead worker has its in-flight point requeued (at most
-``max_requeues`` times) onto the surviving workers.  A half-received
-frame raises :class:`~repro.errors.DispatchError` naming the byte
-counts — never a bare ``EOFError``.
+Workers send heartbeats while computing; a worker silent past
+``heartbeat_timeout_s``, or dead, has its in-flight point requeued (at
+most ``max_requeues`` times) onto the survivors.  Transport and
+decoding failures raise :class:`~repro.errors.DispatchError`, never a
+bare ``EOFError``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
+import os
 import socket
 import threading
 from collections import deque
+from contextlib import contextmanager
+from multiprocessing.connection import (
+    AuthenticationError,
+    Connection,
+    Listener,
+    answer_challenge,
+    deliver_challenge,
+)
 from queue import SimpleQueue
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import DispatchError
-from repro.sweep.runner import _pool_run_point
+from repro.sweep.runner import execute_point
 from repro.sweep.spec import SweepPoint
 
 __all__ = [
+    "KEY_ENV",
     "PROTOCOL_VERSION",
-    "LocalWorkers",
     "SocketWorkerPool",
-    "recv_frame",
-    "send_frame",
+    "receive",
     "serve_worker",
     "spawn_local_workers",
+    "worker_key",
 ]
 
 #: Bumped on any wire-format change; driver and worker must agree.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
-_HEADER_BYTES = 4
-
-
-def send_frame(sock: socket.socket, message: tuple) -> None:
-    """Ship one length-prefixed pickled message."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(len(payload).to_bytes(_HEADER_BYTES, "big") + payload)
+#: Environment variable holding the key remote workers and drivers share.
+KEY_ENV = "REPRO_WORKER_KEY"
 
 
-def _recv_exact(sock: socket.socket, nbytes: int,
-                context: str) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < nbytes:
-        chunk = sock.recv(nbytes - len(chunks))
-        if not chunk:
-            raise DispatchError(
-                f"connection closed mid-{context}: received "
-                f"{len(chunks)} of {nbytes} bytes"
-            )
-        chunks.extend(chunk)
-    return bytes(chunks)
-
-
-def recv_frame(sock: socket.socket) -> tuple:
-    """Read one frame; truncation raises :class:`DispatchError`."""
-    header = _recv_exact(sock, _HEADER_BYTES, "header")
-    length = int.from_bytes(header, "big")
-    payload = _recv_exact(sock, length, "frame")
-    try:
-        message = pickle.loads(payload)
-    except Exception as error:  # pickle raises a small zoo here
+def worker_key() -> bytes:
+    """The shared remote-worker key, read from :data:`KEY_ENV`."""
+    key = os.environ.get(KEY_ENV, "")
+    if not key:
         raise DispatchError(
-            f"malformed frame payload ({length} bytes): {error}"
+            f"remote sweep workers authenticate with a shared key: set "
+            f"{KEY_ENV} to the same secret on the worker and the driver"
+        )
+    return key.encode()
+
+
+def receive(conn: Connection) -> tuple:
+    """Read one tagged message; any failure is a :class:`DispatchError`."""
+    try:
+        message = conn.recv()
+    except (EOFError, OSError) as error:
+        raise DispatchError(
+            f"connection lost ({type(error).__name__}: {error})"
         ) from error
+    except Exception as error:  # unpickling raises a small zoo here
+        raise DispatchError(f"malformed message: {error!r}") from error
     if not isinstance(message, tuple) or not message:
         raise DispatchError(
-            f"frame is not a tagged tuple: {type(message).__name__}"
+            f"message is not a tagged tuple: {type(message).__name__}"
         )
     return message
 
@@ -100,114 +97,95 @@ def recv_frame(sock: socket.socket) -> tuple:
 # -- worker side ---------------------------------------------------------------
 
 
-def _serve_session(conn: socket.socket,
-                   heartbeat_interval_s: float) -> int:
-    """Serve one driver connection; returns points executed."""
+def _serve_session(conn: Connection, heartbeat_interval_s: float) -> None:
+    """Serve one authenticated driver connection until it shuts down."""
     send_lock = threading.Lock()
     stop = threading.Event()
+
+    def send(message: tuple) -> None:
+        with send_lock:
+            conn.send(message)
 
     def heartbeats() -> None:
         while not stop.wait(heartbeat_interval_s):
             try:
-                with send_lock:
-                    send_frame(conn, ("heartbeat",))
+                send(("heartbeat",))
             except OSError:
                 return
 
-    with send_lock:
-        send_frame(conn, ("hello", PROTOCOL_VERSION))
+    send(("hello", PROTOCOL_VERSION))
     pulse = threading.Thread(target=heartbeats, daemon=True)
     pulse.start()
-    executed = 0
     try:
         while True:
             try:
-                message = recv_frame(conn)
-            except (DispatchError, OSError):
-                return executed  # driver vanished; session over
+                message = receive(conn)
+            except DispatchError:
+                return  # driver vanished; session over
             if message[0] == "shutdown":
-                return executed
+                return
             if message[0] != "task":
                 raise DispatchError(
                     f"worker expected a task, got {message[0]!r}"
                 )
-            index, run, error = _pool_run_point(message[1])
-            executed += 1
-            with send_lock:
-                send_frame(conn, ("result", index, run, error))
+            send(("result", *execute_point(message[1])))
     finally:
         stop.set()
         pulse.join()
         conn.close()
 
 
+def _serve(listener: Listener, max_sessions: int | None,
+           heartbeat_interval_s: float) -> None:
+    """Serve driver sessions one at a time, then close ``listener``.
+
+    A peer that fails the handshake is dropped without counting as a
+    session; nothing it sent was unpickled.
+    """
+    sessions = 0
+    with listener:
+        while max_sessions is None or sessions < max_sessions:
+            try:
+                conn = listener.accept()
+            except (AuthenticationError, EOFError, OSError):
+                continue
+            sessions += 1
+            _serve_session(conn, heartbeat_interval_s)
+
+
 def serve_worker(host: str = "127.0.0.1", port: int = 0, *,
+                 authkey: bytes,
                  max_sessions: int | None = None,
                  heartbeat_interval_s: float = 1.0,
                  ready: Callable[[int], None] | None = None) -> int:
-    """Run a sweep worker: listen, serve driver sessions, one at a time.
+    """Serve driver sessions holding ``authkey``, one at a time.
 
     ``port=0`` binds an ephemeral port; ``ready`` (if given) receives
-    the bound port once the listener is up — the hook
-    :func:`spawn_local_workers` uses to report the port to the parent.
-    ``max_sessions`` bounds how many driver connections are served
-    (``None`` serves forever — the ``repro-experiment worker`` shape).
-    Returns the bound port.
+    the bound port once the listener is up.  ``max_sessions=None``
+    serves forever.  Returns the bound port.
     """
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen()
-    bound = listener.getsockname()[1]
+    if not authkey:  # Listener treats a missing key as "no handshake"
+        raise DispatchError("a sweep worker needs a non-empty authkey")
+    listener = Listener((host, port), authkey=authkey)
+    bound = listener.address[1]
     if ready is not None:
         ready(bound)
-    sessions = 0
-    try:
-        while max_sessions is None or sessions < max_sessions:
-            conn, _ = listener.accept()
-            sessions += 1
-            _serve_session(conn, heartbeat_interval_s)
-    finally:
-        listener.close()
+    _serve(listener, max_sessions, heartbeat_interval_s)
     return bound
 
 
-def _local_worker_main(ready_conn, heartbeat_interval_s: float) -> None:
-    serve_worker("127.0.0.1", 0, max_sessions=1,
-                 heartbeat_interval_s=heartbeat_interval_s,
-                 ready=ready_conn.send)
-
-
-class LocalWorkers:
-    """A fleet of in-process-spawned worker processes (context-managed)."""
-
-    def __init__(self, processes: list, hosts: list) -> None:
-        self.processes = processes
-        self.hosts = hosts
-
-    def close(self) -> None:
-        for process in self.processes:
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join()
-
-    def __enter__(self) -> "LocalWorkers":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
+@contextmanager
 def spawn_local_workers(count: int, *,
                         heartbeat_interval_s: float = 1.0
-                        ) -> LocalWorkers:
-    """Spawn ``count`` localhost worker processes on ephemeral ports.
+                        ) -> Iterator[tuple[list, bytes]]:
+    """Run ``count`` localhost workers keyed with a fresh random key.
 
-    Forks where the platform offers it, so workers inherit the
-    driver's pre-warmed calibration cache (the runner warms before
-    spawning); each worker serves exactly one driver session and
-    exits.
+    Yields ``(hosts, authkey)`` for a :class:`SocketWorkerPool`.  Each
+    listener is bound in the parent (so its port is known at once) and
+    served by a child that takes exactly one driver session and exits;
+    leaving the block joins the children.  Forks where the platform
+    offers it, so workers inherit the driver's pre-warmed calibration
+    cache (the runner warms before spawning).
     """
     if count < 1:
         raise DispatchError(
@@ -217,19 +195,25 @@ def spawn_local_workers(count: int, *,
         context = multiprocessing.get_context("fork")
     except ValueError:
         context = multiprocessing.get_context()
+    authkey = os.urandom(32)
     processes, hosts = [], []
-    for _ in range(count):
-        parent, child = context.Pipe()
-        process = context.Process(
-            target=_local_worker_main,
-            args=(child, heartbeat_interval_s), daemon=True)
-        process.start()
-        child.close()
-        port = parent.recv()
-        parent.close()
-        processes.append(process)
-        hosts.append(("127.0.0.1", port))
-    return LocalWorkers(processes, hosts)
+    try:
+        for _ in range(count):
+            with Listener(("127.0.0.1", 0), authkey=authkey) as listener:
+                process = context.Process(
+                    target=_serve,
+                    args=(listener, 1, heartbeat_interval_s), daemon=True)
+                process.start()
+                processes.append(process)
+                hosts.append(listener.address)
+            # Leaving the block closes the parent's copy only.
+        yield hosts, authkey
+    finally:
+        for process in processes:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.terminate()
+                process.join()
 
 
 # -- driver side ---------------------------------------------------------------
@@ -253,18 +237,19 @@ def _parse_address(host) -> tuple[str, int]:
 
 
 class SocketWorkerPool:
-    """Drives sweep points over remote workers, surviving worker death.
+    """Drives sweep points over keyed workers, surviving worker death.
 
     One driver thread per worker feeds it points and collects results;
-    any worker failure (connection refused/reset, truncated frame,
-    heartbeat silence past ``heartbeat_timeout_s``) marks that worker
-    dead and requeues its in-flight point — at most ``max_requeues``
-    times per point, after which the point is reported failed.  When
-    every worker is dead with points still unserved, the remaining
-    points fail out loudly instead of hanging the driver.
+    any worker failure (connection refused/reset, failed handshake,
+    lost or undecodable message, heartbeat silence past
+    ``heartbeat_timeout_s``) marks that worker dead and requeues its
+    in-flight point — at most ``max_requeues`` times per point, after
+    which the point is reported failed.  When every worker is dead with
+    points still unserved, the remaining points fail out loudly instead
+    of hanging the driver.
     """
 
-    def __init__(self, hosts: Sequence, *,
+    def __init__(self, hosts: Sequence, *, authkey: bytes,
                  heartbeat_timeout_s: float = 10.0,
                  connect_timeout_s: float = 10.0,
                  max_requeues: int = 1) -> None:
@@ -275,6 +260,7 @@ class SocketWorkerPool:
                 f"max_requeues must be >= 0, got {max_requeues}"
             )
         self.addresses = [_parse_address(host) for host in hosts]
+        self.authkey = authkey
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.connect_timeout_s = connect_timeout_s
         self.max_requeues = max_requeues
@@ -282,12 +268,11 @@ class SocketWorkerPool:
         self.requeues = 0
         #: ``host:port`` labels of workers that died mid-run.
         self.dead_workers: list[str] = []
-        self._lock = threading.Lock()
         #: Guards the task deque AND signals idle drivers when a dead
         #: worker's point is requeued or the last result lands — an
         #: idle driver must not retire while another worker still holds
         #: an in-flight point, or that point's requeue finds nobody.
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition()
         self._attempts: dict[int, int] = {}
         self._outstanding = 0
         self._live = 0
@@ -297,7 +282,10 @@ class SocketWorkerPool:
         """Yield ``(index, run, error)`` as workers finish points.
 
         Exactly ``len(points)`` triples are yielded; completion order
-        is arbitrary (the caller writes through ``index``).
+        is arbitrary (the caller writes through ``index``).  Closing
+        the iterator early drops the unsent points: each worker is
+        shut down after its current point and the close returns once
+        every driver thread has.
         """
         tasks: deque[SweepPoint] = deque(points)
         results: SimpleQueue = SimpleQueue()
@@ -312,23 +300,43 @@ class SocketWorkerPool:
         ]
         for thread in threads:
             thread.start()
-        for _ in range(len(points)):
-            yield results.get()
-        for thread in threads:
-            thread.join()
+        try:
+            for _ in range(len(points)):
+                yield results.get()
+        finally:
+            with self._cond:
+                tasks.clear()
+                self._outstanding = 0
+                self._cond.notify_all()
+            for thread in threads:
+                thread.join()
 
     # -- per-worker driver thread ----------------------------------------------
+
+    def _receive(self, conn: Connection, name: str) -> tuple:
+        if not conn.poll(self.heartbeat_timeout_s):
+            raise DispatchError(
+                f"worker {name} silent for {self.heartbeat_timeout_s} s"
+            )
+        return receive(conn)
 
     def _drive_worker(self, address: tuple[str, int],
                       tasks: deque, results: SimpleQueue) -> None:
         name = f"{address[0]}:{address[1]}"
-        sock = None
+        conn = None
         current: SweepPoint | None = None
         try:
             sock = socket.create_connection(
                 address, timeout=self.connect_timeout_s)
-            sock.settimeout(self.heartbeat_timeout_s)
-            hello = recv_frame(sock)
+            sock.setblocking(True)  # Connection reads the raw descriptor
+            conn = Connection(sock.detach())
+            # Client()'s handshake, but a peer that accepts and never
+            # sends its challenge cannot hang this thread.
+            if not conn.poll(self.connect_timeout_s):
+                raise DispatchError(f"no handshake from worker {name}")
+            answer_challenge(conn, self.authkey)
+            deliver_challenge(conn, self.authkey)
+            hello = self._receive(conn, name)
             if hello[0] != "hello":
                 raise DispatchError(
                     f"worker {name} greeted with {hello[0]!r}, "
@@ -349,27 +357,27 @@ class SocketWorkerPool:
                         break
                     current = tasks.popleft()
                     self._attempts[current.index] += 1
-                send_frame(sock, ("task", current))
+                conn.send(("task", current))
                 while True:
-                    message = recv_frame(sock)
+                    message = self._receive(conn, name)
                     if message[0] == "heartbeat":
                         continue
                     if message[0] == "result":
                         break
                     raise DispatchError(
-                        f"unexpected frame {message[0]!r} from "
+                        f"unexpected message {message[0]!r} from "
                         f"worker {name}"
                     )
                 _, index, run, error = message
                 current = None
                 self._deliver(results, (index, run, error))
-            send_frame(sock, ("shutdown",))
+            conn.send(("shutdown",))
         except Exception as error:  # noqa: BLE001 - a lost result
-            # frame must never strand the collector, whatever died.
+            # must never strand the collector, whatever died.
             self._worker_died(name, current, error, tasks, results)
         finally:
-            if sock is not None:
-                sock.close()
+            if conn is not None:
+                conn.close()
             self._retire_thread(tasks, results)
 
     def _deliver(self, results: SimpleQueue, triple: tuple) -> None:

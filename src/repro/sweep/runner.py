@@ -1,11 +1,13 @@
-"""Executes a sweep grid: inline or across a worker-process pool.
+"""Executes a sweep grid: inline or across authenticated workers.
 
 Each grid point is an independent simulation — the sweeps are
 embarrassingly parallel, so :class:`SweepRunner` runs them either
-inline (``workers=0``) or over a ``multiprocessing`` pool.  Every
-point's RNGs are seeded from the spec's root seed and the point's own
-coordinates (never from execution order), so a parallel run produces
-row-for-row identical results to a serial one.
+inline (``workers=0``) or over the keyed socket workers of
+:mod:`repro.federation.dispatch` (forked localhost processes, or
+pre-started remote ones).  Every point's RNGs are seeded from the
+spec's root seed and the point's own coordinates (never from execution
+order), so a parallel run produces row-for-row identical results to a
+serial one.
 
 Device cost-model calibration runs the real codecs and is cached
 process-wide (:mod:`repro.cluster.session`); the runner pre-warms that
@@ -16,7 +18,7 @@ codecs once per worker.
 
 from __future__ import annotations
 
-import multiprocessing
+from contextlib import closing, nullcontext
 from typing import Callable
 
 from repro.cluster.session import Cluster, build_device, calibrated_models
@@ -94,8 +96,10 @@ def run_point(point: SweepPoint) -> RunResult:
     return cluster.run()
 
 
-def _pool_run_point(point: SweepPoint):
-    """Worker-side wrapper: never raises, ships errors back picklable."""
+def execute_point(point: SweepPoint
+                  ) -> tuple[int, RunResult | None, str | None]:
+    """Run one point, never raising: ``(index, run, error)`` with the
+    error as a picklable string.  Both backends execute through this."""
     try:
         return point.index, run_point(point), None
     except ReproError as error:
@@ -105,12 +109,19 @@ def _pool_run_point(point: SweepPoint):
 class SweepRunner:
     """Runs every point of a :class:`SweepSpec` and collects results.
 
-    ``workers=0`` executes inline (deterministic reference order);
-    ``workers=N`` fans points out over ``N`` processes.  Either way the
-    result rows come back in grid order and are identical for the same
-    root seed.  ``on_error`` is ``"raise"`` (fail fast, default) or
-    ``"continue"`` (record the failure, keep sweeping); ``progress``
-    (if given) is called in the parent as each point lands.
+    ``workers=0`` (and no ``hosts``) executes inline, the deterministic
+    reference order; ``workers=N`` fans points out over ``N`` forked
+    localhost workers keyed with a fresh random key, and ``hosts``
+    drives pre-started ``repro-experiment worker`` processes that share
+    the ``REPRO_WORKER_KEY`` key.  Either way the result rows come back
+    in grid order and are identical for the same root seed.
+    ``on_error`` is ``"raise"`` (fail fast, default) or ``"continue"``
+    (record the failure, keep sweeping); ``progress`` (if given) is
+    called in the driver as each point lands.
+
+    ``distributed`` selects nothing: it only asks for the check that
+    ``workers >= 1`` or ``hosts`` is given.  It stays for the frozen
+    benchmark's callers, and the next benchmark change removes it.
     """
 
     def __init__(self, spec: SweepSpec, *,
@@ -136,11 +147,15 @@ class SweepRunner:
         self.workers = workers
         self.on_error = on_error
         self.progress = progress
-        self.distributed = distributed or hosts is not None
         self.hosts = hosts
+        if hosts is not None:
+            # Imported lazily: repro.federation.dispatch imports this
+            # module for the worker-side point executor.
+            from repro.federation.dispatch import worker_key
+            self._authkey = worker_key()
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_requeues = max_requeues
-        #: Populated by the sockets backend after a run: requeue count
+        #: Populated by the workers backend after a run: requeue count
         #: and dead-worker labels (``SocketWorkerPool`` attributes).
         self.dispatch_requeues = 0
         self.dispatch_dead_workers: list[str] = []
@@ -180,13 +195,11 @@ class SweepRunner:
         self.warm_calibration(points)
         result = SweepResult(spec=self.spec, points=points,
                              results=[None] * len(points))
-        if self.distributed:
-            self._run_sockets(points, result)
-        elif self.workers == 0:
+        if self.workers == 0 and self.hosts is None:
             self._run_inline(points, result)
         else:
-            self._run_pool(points, result)
-        # Pool completions arrive in arbitrary order; reports must not.
+            self._run_workers(points, result)
+        # Worker completions arrive in arbitrary order; reports must not.
         result.failures.sort(key=lambda failure: failure.index)
         return result
 
@@ -206,71 +219,41 @@ class SweepRunner:
     def _run_inline(self, points: tuple[SweepPoint, ...],
                     result: SweepResult) -> None:
         for done, point in enumerate(points, start=1):
-            try:
-                run, error = run_point(point), None
-            except ReproError as exc:
-                run, error = None, f"{type(exc).__name__}: {exc}"
-            self._record(result, done, point.index, run, error)
+            self._record(result, done, *execute_point(point))
 
-    def _run_pool(self, points: tuple[SweepPoint, ...],
-                  result: SweepResult) -> None:
-        # Fork (where the platform offers it) so workers inherit the
-        # pre-warmed calibration cache; spawn-only platforms fall back
-        # to re-calibrating lazily per worker.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context()
-        # imap_unordered keeps every worker busy; grid order is
-        # restored by writing through point.index.
-        with context.Pool(processes=self.workers) as pool:
-            outcomes = pool.imap_unordered(_pool_run_point, points)
-            for done, (index, run, error) in enumerate(outcomes, start=1):
-                self._record(result, done, index, run, error)
-
-    def _run_sockets(self, points: tuple[SweepPoint, ...],
+    def _run_workers(self, points: tuple[SweepPoint, ...],
                      result: SweepResult) -> None:
-        """Distributed backend: fan points out over socket workers.
+        """Fan points out over keyed socket workers.
 
-        Explicit ``hosts`` drive pre-started workers
-        (``repro-experiment worker --listen``); without hosts,
-        ``workers`` localhost processes are spawned for this run (after
-        calibration warm-up, so forked workers inherit the cache).
-        Results land through ``point.index``, so rows are byte-identical
-        to the inline runner whatever the completion order.
+        Local workers fork after the calibration warm-up, so they
+        inherit the cache.  A fail-fast error closes the dispatch
+        stream, which stops every worker after its current point.
         """
-        # Imported lazily: repro.federation.dispatch imports this
-        # module for the worker-side point executor.
         from repro.federation.dispatch import (
             SocketWorkerPool,
             spawn_local_workers,
         )
-        local = None
-        hosts = self.hosts
-        if hosts is None:
-            local = spawn_local_workers(self.workers)
-            hosts = local.hosts
-        try:
+        if self.hosts is None:
+            fleet = spawn_local_workers(self.workers)
+        else:
+            fleet = nullcontext((self.hosts, self._authkey))
+        with fleet as (hosts, authkey):
             pool = SocketWorkerPool(
-                hosts,
+                hosts, authkey=authkey,
                 heartbeat_timeout_s=self.heartbeat_timeout_s,
                 max_requeues=self.max_requeues)
-            outcomes = pool.imap(points)
-            for done, (index, run, error) in enumerate(outcomes, start=1):
-                self._record(result, done, index, run, error)
-            self.dispatch_requeues = pool.requeues
-            self.dispatch_dead_workers = list(pool.dead_workers)
-        finally:
-            if local is not None:
-                local.close()
+            with closing(pool.imap(points)) as outcomes:
+                for done, (index, run, error) in enumerate(outcomes,
+                                                           start=1):
+                    self._record(result, done, index, run, error)
+        self.dispatch_requeues = pool.requeues
+        self.dispatch_dead_workers = list(pool.dead_workers)
 
 
 def run_sweep_spec(spec: SweepSpec, *, workers: int = 0,
                    on_error: str = "raise",
                    progress: ProgressFn | None = None,
-                   distributed: bool = False,
                    hosts: list | None = None) -> SweepResult:
     """One-call convenience: ``SweepRunner(spec, ...).run()``."""
     return SweepRunner(spec, workers=workers, on_error=on_error,
-                       progress=progress, distributed=distributed,
-                       hosts=hosts).run()
+                       progress=progress, hosts=hosts).run()

@@ -2,15 +2,25 @@
 
 Spec/validation scenarios are pure document manipulation; the serving
 scenarios run small real federations (two cheap CPU clusters on one
-shared simulator).  The dispatch scenarios drive the socket protocol
+shared simulator).  The dispatch scenarios drive the keyed protocol
 against scripted in-thread workers whose misbehavior is gated on
 events, so crash/timeout/requeue paths are exercised deterministically
 instead of racing the scheduler.
 """
 
 import json
+import pickle
 import socket
+import struct
 import threading
+import time
+from multiprocessing.connection import (
+    AuthenticationError,
+    Client,
+    Connection,
+    Listener,
+)
+from queue import SimpleQueue
 
 import pytest
 
@@ -39,9 +49,10 @@ from repro.federation import (
     example_federation_spec,
     spawn_local_workers,
 )
-from repro.federation.dispatch import recv_frame, send_frame
+from repro.experiments.cli import main as cli_main
+from repro.federation.dispatch import KEY_ENV, receive, serve_worker
 from repro.sweep import SweepAxis, SweepRunner, SweepSpec, WorkloadSpec
-from repro.sweep.runner import _pool_run_point
+from repro.sweep.runner import execute_point
 from repro.telemetry import DISABLED, Telemetry
 from repro.workloads.population import (
     DiurnalSpec,
@@ -341,59 +352,54 @@ class TestFederationRun:
 
 # -- scripted dispatch workers -------------------------------------------------
 
+TEST_KEY = b"dispatch-test-key"
+
 
 class ScriptedWorker:
-    """One-connection protocol server with a scripted behavior."""
+    """One-connection keyed worker with a scripted behavior."""
 
     def __init__(self, behavior):
-        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.listener.setsockopt(socket.SOL_SOCKET,
-                                 socket.SO_REUSEADDR, 1)
-        self.listener.bind(("127.0.0.1", 0))
-        self.listener.listen()
-        self.address = ("127.0.0.1", self.listener.getsockname()[1])
+        self.listener = Listener(("127.0.0.1", 0), authkey=TEST_KEY)
+        self.address = self.listener.address
         self.thread = threading.Thread(
             target=self._serve, args=(behavior,), daemon=True)
         self.thread.start()
 
     def _serve(self, behavior) -> None:
-        conn, _ = self.listener.accept()
         try:
-            behavior(conn)
-        except OSError:
+            with self.listener, self.listener.accept() as conn:
+                behavior(conn)
+        except (OSError, DispatchError):
             pass
-        finally:
-            conn.close()
-            self.listener.close()
 
 
-def good_worker(conn: socket.socket,
+def good_worker(conn: Connection,
                 start: threading.Event | None = None) -> None:
     """A correct worker; optionally holds its hello until ``start``."""
     if start is not None:
         assert start.wait(30.0)
-    send_frame(conn, ("hello", PROTOCOL_VERSION))
+    conn.send(("hello", PROTOCOL_VERSION))
     while True:
-        message = recv_frame(conn)
+        message = receive(conn)
         if message[0] == "shutdown":
             return
-        send_frame(conn, ("result", *_pool_run_point(message[1])))
+        conn.send(("result", *execute_point(message[1])))
 
 
 def crash_after_task(handed: threading.Event):
     """Greets, accepts exactly one task, then drops the connection."""
-    def behavior(conn: socket.socket) -> None:
-        send_frame(conn, ("hello", PROTOCOL_VERSION))
-        recv_frame(conn)  # the task we are about to lose
+    def behavior(conn: Connection) -> None:
+        conn.send(("hello", PROTOCOL_VERSION))
+        receive(conn)  # the task we are about to lose
         handed.set()
     return behavior
 
 
 def silent_after_task(handed: threading.Event, release: threading.Event):
     """Greets, accepts one task, then stops talking (no heartbeats)."""
-    def behavior(conn: socket.socket) -> None:
-        send_frame(conn, ("hello", PROTOCOL_VERSION))
-        recv_frame(conn)
+    def behavior(conn: Connection) -> None:
+        conn.send(("hello", PROTOCOL_VERSION))
+        receive(conn)
         handed.set()
         release.wait(60.0)
     return behavior
@@ -413,58 +419,89 @@ def dispatch_points(count: int = 3):
     return spec, spec.expand()
 
 
+def raw_connection() -> tuple[socket.socket, Connection]:
+    """A :class:`Connection` whose peer writes hand-made bytes."""
+    left, right = socket.socketpair()
+    return left, Connection(right.detach())
+
+
+def frame(payload: bytes) -> bytes:
+    """``payload`` framed the way :class:`Connection` frames messages."""
+    return struct.pack("!i", len(payload)) + payload
+
+
+def start_worker() -> tuple[threading.Thread, tuple[str, int]]:
+    """A real one-session worker on a thread, keyed with ``TEST_KEY``."""
+    ports: SimpleQueue = SimpleQueue()
+    thread = threading.Thread(target=serve_worker, kwargs=dict(
+        authkey=TEST_KEY, max_sessions=1, ready=ports.put), daemon=True)
+    thread.start()
+    return thread, ("127.0.0.1", ports.get(timeout=30))
+
+
+class TouchOnUnpickle:
+    """A pickle that creates ``path`` when it is loaded."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return self.path.touch, ()
+
+
 class TestDispatchProtocol:
     def test_truncated_frame_is_a_named_error_not_eoferror(self):
-        left, right = socket.socketpair()
+        left, conn = raw_connection()
         try:
-            left.sendall(b"\x00\x00")
+            left.sendall(b"\x00\x00")  # half of a length header
             left.close()
             with pytest.raises(DispatchError,
-                               match="received 2 of 4 bytes") as exc:
-                recv_frame(right)
+                               match="connection lost") as exc:
+                receive(conn)
             assert not isinstance(exc.value, EOFError)
         finally:
-            right.close()
+            conn.close()
 
-    def test_truncated_payload_names_byte_counts(self):
-        left, right = socket.socketpair()
+    def test_truncated_payload_is_a_dispatch_error(self):
+        left, conn = raw_connection()
         try:
-            left.sendall((100).to_bytes(4, "big") + b"short")
+            left.sendall(struct.pack("!i", 100) + b"short")
             left.close()
             with pytest.raises(DispatchError,
-                               match="received 5 of 100 bytes"):
-                recv_frame(right)
+                               match="connection lost") as exc:
+                receive(conn)
+            assert not isinstance(exc.value, EOFError)
         finally:
-            right.close()
+            conn.close()
 
     def test_malformed_payload_rejected(self):
-        left, right = socket.socketpair()
+        left, conn = raw_connection()
         try:
-            payload = b"not a pickle"
-            left.sendall(len(payload).to_bytes(4, "big") + payload)
-            with pytest.raises(DispatchError, match="malformed frame"):
-                recv_frame(right)
+            left.sendall(frame(b"not a pickle"))
+            with pytest.raises(DispatchError, match="malformed message"):
+                receive(conn)
         finally:
             left.close()
-            right.close()
+            conn.close()
 
     def test_pool_validates_hosts_and_requeues(self):
         with pytest.raises(DispatchError, match="at least one host"):
-            SocketWorkerPool([])
+            SocketWorkerPool([], authkey=TEST_KEY)
         with pytest.raises(DispatchError, match="max_requeues"):
-            SocketWorkerPool(["h:1"], max_requeues=-1)
+            SocketWorkerPool(["h:1"], authkey=TEST_KEY, max_requeues=-1)
         with pytest.raises(DispatchError, match="bad worker address"):
-            SocketWorkerPool(["no-port"])
+            SocketWorkerPool(["no-port"], authkey=TEST_KEY)
 
     def test_version_mismatch_is_a_dispatch_error(self):
-        def old_worker(conn: socket.socket) -> None:
-            send_frame(conn, ("hello", PROTOCOL_VERSION + 1))
+        def old_worker(conn: Connection) -> None:
+            conn.send(("hello", PROTOCOL_VERSION + 1))
             release.wait(30.0)
 
         release = threading.Event()
         worker = ScriptedWorker(old_worker)
         _, points = dispatch_points(1)
-        pool = SocketWorkerPool([worker.address], max_requeues=0)
+        pool = SocketWorkerPool([worker.address], authkey=TEST_KEY,
+                                max_requeues=0)
         outcomes = list(pool.imap(points))
         release.set()
         assert len(outcomes) == 1
@@ -475,6 +512,37 @@ class TestDispatchProtocol:
         assert pool.dead_workers
 
 
+class TestDispatchAuthentication:
+    def test_wrong_key_is_rejected_and_the_worker_serves_on(self):
+        thread, address = start_worker()
+        with pytest.raises(AuthenticationError):
+            Client(address, authkey=b"not the key")
+        # The rejection did not use up the worker's one session.
+        _, points = dispatch_points(1)
+        pool = SocketWorkerPool([address], authkey=TEST_KEY)
+        assert [error for _, _, error in pool.imap(points)] == [None]
+        thread.join(30.0)
+        assert not thread.is_alive()
+
+    def test_unauthenticated_pickle_is_never_loaded(self, tmp_path):
+        flag = tmp_path / "unpickled"
+        payload = pickle.dumps(TouchOnUnpickle(flag))
+        pickle.loads(payload)  # the payload is live: loading it acts
+        assert flag.exists()
+        flag.unlink()
+        thread, address = start_worker()
+        with socket.create_connection(address, timeout=30.0) as raw:
+            raw.sendall(frame(payload))
+            while raw.recv(4096):  # until the worker hangs up
+                pass
+        _, points = dispatch_points(1)
+        pool = SocketWorkerPool([address], authkey=TEST_KEY)
+        assert [error for _, _, error in pool.imap(points)] == [None]
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert not flag.exists()
+
+
 class TestDispatchLiveness:
     def test_worker_crash_mid_point_requeues_exactly_once(self):
         handed = threading.Event()
@@ -482,7 +550,8 @@ class TestDispatchLiveness:
         survivor = ScriptedWorker(
             lambda conn: good_worker(conn, start=handed))
         spec, points = dispatch_points(3)
-        pool = SocketWorkerPool([crasher.address, survivor.address])
+        pool = SocketWorkerPool([crasher.address, survivor.address],
+                                authkey=TEST_KEY)
         outcomes = sorted(pool.imap(points))
         assert [error for _, _, error in outcomes] == [None] * 3
         assert pool.requeues == 1
@@ -496,7 +565,7 @@ class TestDispatchLiveness:
             lambda conn: good_worker(conn, start=handed))
         _, points = dispatch_points(2)
         pool = SocketWorkerPool([staller.address, survivor.address],
-                                heartbeat_timeout_s=0.5)
+                                authkey=TEST_KEY, heartbeat_timeout_s=0.5)
         outcomes = sorted(pool.imap(points))
         release.set()
         assert [error for _, _, error in outcomes] == [None] * 2
@@ -508,7 +577,8 @@ class TestDispatchLiveness:
         handed = threading.Event()
         crasher = ScriptedWorker(crash_after_task(handed))
         _, points = dispatch_points(1)
-        pool = SocketWorkerPool([crasher.address], max_requeues=0)
+        pool = SocketWorkerPool([crasher.address], authkey=TEST_KEY,
+                                max_requeues=0)
         outcomes = list(pool.imap(points))
         assert len(outcomes) == 1
         index, run, error = outcomes[0]
@@ -520,7 +590,8 @@ class TestDispatchLiveness:
         handed = threading.Event()
         crasher = ScriptedWorker(crash_after_task(handed))
         _, points = dispatch_points(3)
-        pool = SocketWorkerPool([crasher.address], max_requeues=1)
+        pool = SocketWorkerPool([crasher.address], authkey=TEST_KEY,
+                                max_requeues=1)
         outcomes = sorted(pool.imap(points))
         assert len(outcomes) == 3
         assert all(run is None for _, run, _ in outcomes)
@@ -528,12 +599,46 @@ class TestDispatchLiveness:
                    for _, _, error in outcomes)
         assert pool.requeues == 1
 
+    def test_closing_the_stream_early_stops_workers_after_their_point(self):
+        closing, seen = threading.Event(), []
+
+        def recording_worker(conn: Connection) -> None:
+            conn.send(("hello", PROTOCOL_VERSION))
+            while True:
+                message = receive(conn)
+                seen.append(message[0])
+                if message[0] == "shutdown":
+                    return
+                if len(seen) == 2:  # hold this point until the close
+                    closing.wait(30.0)
+                    time.sleep(0.2)
+                conn.send(("result", *execute_point(message[1])))
+
+        worker = ScriptedWorker(recording_worker)
+        _, points = dispatch_points(4)
+        outcomes = SocketWorkerPool([worker.address],
+                                    authkey=TEST_KEY).imap(points)
+        next(outcomes)
+        closing.set()
+        outcomes.close()
+        worker.thread.join(30.0)
+        assert not worker.thread.is_alive()
+        # At most the point already in flight runs; the rest are dropped.
+        assert seen in (["task", "shutdown"],
+                        ["task", "task", "shutdown"])
+
 
 class TestDistributedSweep:
     def test_distributed_needs_workers_or_hosts(self):
         spec, _ = dispatch_points(2)
         with pytest.raises(SweepError, match="workers"):
             SweepRunner(spec, distributed=True)
+
+    def test_hosts_need_the_worker_key(self, monkeypatch):
+        monkeypatch.delenv(KEY_ENV, raising=False)
+        spec, _ = dispatch_points(2)
+        with pytest.raises(DispatchError, match=KEY_ENV):
+            SweepRunner(spec, hosts=["127.0.0.1:1"])
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sockets_rows_byte_identical_to_inline(self, workers):
@@ -543,7 +648,8 @@ class TestDistributedSweep:
         assert json.dumps(runner.run().rows()) == json.dumps(inline)
         assert runner.dispatch_dead_workers == []
 
-    def test_rows_identical_when_a_worker_dies_mid_run(self):
+    def test_rows_identical_when_a_worker_dies_mid_run(self, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, TEST_KEY.decode())
         handed = threading.Event()
         crasher = ScriptedWorker(crash_after_task(handed))
         survivor = ScriptedWorker(
@@ -559,4 +665,38 @@ class TestDistributedSweep:
 
     def test_spawn_local_workers_validates_count(self):
         with pytest.raises(DispatchError, match="at least one"):
-            spawn_local_workers(0)
+            with spawn_local_workers(0):
+                pass
+
+
+class TestDispatchCli:
+    def test_worker_refuses_to_start_without_a_key(self, monkeypatch,
+                                                   capsys):
+        monkeypatch.delenv(KEY_ENV, raising=False)
+        assert cli_main(["worker", "--listen", "127.0.0.1:0",
+                         "--max-sessions", "1"]) == 2
+        assert KEY_ENV in capsys.readouterr().err
+
+    def test_sweep_hosts_without_a_key_exits_two(self, monkeypatch,
+                                                 capsys, tmp_path):
+        monkeypatch.delenv(KEY_ENV, raising=False)
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(dispatch_points(2)[0].to_json())
+        assert cli_main(["sweep", "--spec", str(spec_path), "--quiet",
+                         "--hosts", "127.0.0.1:1"]) == 2
+        assert KEY_ENV in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers, backend",
+                             [(0, "inline"), (2, "workers")])
+    def test_backend_label(self, workers, backend, capsys, tmp_path):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(dispatch_points(2)[0].to_json())
+        assert cli_main(["sweep", "--spec", str(spec_path), "--quiet",
+                         "--workers", str(workers)]) == 0
+        assert f"backend {backend} ==" in capsys.readouterr().out
+
+    def test_distributed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--example-spec", "--distributed"])
+        assert exc.value.code == 2
+        assert "--distributed" in capsys.readouterr().err

@@ -9,6 +9,7 @@ cached process-wide, so the cost is paid once per test session).
 
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -365,6 +366,27 @@ class TestSweepRunner:
         ))
         with pytest.raises(SweepError, match="dup=broken"):
             SweepRunner(spec, workers=0).run()
+
+    def test_fail_fast_over_workers_stops_every_worker(self):
+        # The broken point lands first; the rest must be cancelled
+        # and every worker process gone when run() raises.
+        spec = cheap_sweep(axes=(
+            SweepAxis("dup", (
+                AxisPoint(label="broken", overrides={
+                    "fleet.devices": [{"kind": "cpu",
+                                       "algorithm": "snappy",
+                                       "threads": 4},
+                                      {"kind": "cpu",
+                                       "algorithm": "snappy",
+                                       "threads": 4}]}),
+                *(AxisPoint(label=f"ok{n}", overrides={
+                    "workload.offered_gbps": float(n + 1)})
+                  for n in range(6)),
+            )),
+        ))
+        with pytest.raises(SweepError, match="dup=broken"):
+            SweepRunner(spec, workers=2).run()
+        assert multiprocessing.active_children() == []
 
     def test_continue_on_error_records_failures(self):
         spec = cheap_sweep(axes=(
