@@ -17,7 +17,7 @@ this codec functionally and differ only in their device/cost models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core import huffman
 from repro.core.bitio import BitReader, BitWriter
@@ -96,9 +96,10 @@ class DeflateCodec:
         self.level = level
         if config is None:
             config = config_for_level(level)
-        # Deflate's window and match cap are fixed by the format.
-        config.window_log = min(config.window_log, 15)
-        config.max_match = _MAX_MATCH
+        # Deflate's window and match cap are fixed by the format.  Copy:
+        # ``config_for_level`` hands out the shared preset objects.
+        config = replace(config, window_log=min(config.window_log, 15),
+                         max_match=_MAX_MATCH)
         self._matcher = ChainMatcher(config)
         self.last_stats = DeflateStats()
 

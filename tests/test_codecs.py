@@ -1,5 +1,6 @@
 """Cross-codec round-trip, ratio-ordering and block-format tests."""
 
+import copy
 import random
 
 import pytest
@@ -15,7 +16,12 @@ from repro.core.blockformat import (
 from repro.core.deflate import DeflateCodec
 from repro.core.dpzip_codec import DpzipCodec, reference_roundtrip
 from repro.core.lz4 import Lz4Codec
-from repro.core.matchers import ChainMatcher, config_for_level
+from repro.core.matchers import (
+    LEVEL_PRESETS,
+    ChainMatcher,
+    ChainMatcherConfig,
+    config_for_level,
+)
 from repro.core.snappy import SnappyCodec
 from repro.core.tokens import reconstruct
 from repro.core.zstd import ZstdLikeCodec
@@ -111,6 +117,32 @@ class TestChainMatcher:
         shallow.tokenize(data)
         deep.tokenize(data)
         assert deep.stats.chain_steps > shallow.stats.chain_steps
+
+
+class TestLevelPresets:
+    """Deflate's format caps must not leak into the shared presets."""
+
+    def test_building_deflate_leaves_presets_unchanged(self):
+        before = copy.deepcopy(LEVEL_PRESETS)
+        for level in LEVEL_PRESETS:
+            DeflateCodec(level=level)
+        assert LEVEL_PRESETS == before
+        # The declared values themselves, whatever ran earlier.
+        assert config_for_level(1).max_match == ChainMatcherConfig().max_match
+        assert config_for_level(3).window_log == 16
+
+    def test_zstd_output_independent_of_deflate_construction(self):
+        data = b"abcd" * 5000
+        first = ZstdLikeCodec(level=1).compress_blocks(data)
+        DeflateCodec(level=1)
+        DeflateCodec(level=3)
+        second = ZstdLikeCodec(level=1).compress_blocks(data)
+        assert second.payload == first.payload
+        assert second.matcher_stats == first.matcher_stats
+        assert second.breakdown == first.breakdown
+        # One match covers the whole repeat, uncapped at deflate's 258.
+        assert first.matcher_stats["matches"] == 1
+        assert first.matcher_stats["matched_bytes"] == len(data) - 4
 
 
 class TestBlockFormat:
