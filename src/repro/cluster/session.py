@@ -14,7 +14,9 @@ Device cost-model calibration runs the real codecs, so it is by far
 the most expensive part of building a cluster; calibrated models are
 cached process-wide keyed by (device kind, parameters, op) — a sweep
 building hundreds of clusters from specs calibrates each distinct
-device exactly once.  Identical fleet members share one model per op,
+device exactly once, and all of a device's uncached ops share one
+measurement pass (each sample is compressed once; the decompress fit
+reuses that payload).  Identical fleet members share one model per op,
 so each model's per-size prediction memo warms once per process.
 """
 
@@ -82,16 +84,18 @@ def build_device(spec: DeviceSpec) -> CdpuDevice:
 
 def calibrated_models(spec: DeviceSpec, device: CdpuDevice,
                       ops: tuple[str, ...]) -> dict[str, DeviceCostModel]:
-    """Per-op cost models for ``device``, via the process-wide cache."""
-    models: dict[str, DeviceCostModel] = {}
-    for op in ops:
-        key = (spec.cache_key(), op)
-        model = _MODEL_CACHE.get(key)
-        if model is None:
-            model = DeviceCostModel.calibrate(device, op=op)
-            _MODEL_CACHE[key] = model
-        models[op] = model
-    return models
+    """Per-op cost models for ``device``, via the process-wide cache.
+
+    The ops missing from the cache are calibrated together, in one
+    measurement pass over ``device``.
+    """
+    key = spec.cache_key()
+    missing = tuple(op for op in ops if (key, op) not in _MODEL_CACHE)
+    if missing:
+        for op, model in DeviceCostModel.calibrate(device,
+                                                   ops=missing).items():
+            _MODEL_CACHE[(key, op)] = model
+    return {op: _MODEL_CACHE[(key, op)] for op in ops}
 
 
 class Cluster:

@@ -150,7 +150,7 @@ class FleetDevice:
         elif model is not None:
             self.models = {"compress": model}
         else:
-            self.models = {"compress": DeviceCostModel.calibrate(device)}
+            self.models = DeviceCostModel.calibrate(device)
         engines = max(device.engine_count, 1)
         self._engines = engines
         if queue_limit is None:
@@ -206,7 +206,7 @@ class FleetDevice:
         """The cost model pricing ``op``, calibrating it on first use."""
         model = self.models.get(op)
         if model is None:
-            model = DeviceCostModel.calibrate(self.device, op=op)
+            model = DeviceCostModel.calibrate(self.device, ops=(op,))[op]
             self.models[op] = model
         return model
 

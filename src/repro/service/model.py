@@ -17,6 +17,13 @@ parametric model:
 * ``engine_ns`` — engine occupancy, linear in size with the slope and
   intercept interpolated between compressibility anchors (the Figure 12
   degradation axis).
+
+Calibration is one measurement pass per device over every requested op
+(:meth:`DeviceCostModel.calibrate`): each (size, ratio) sample is
+compressed once, the decompress fit decompresses that same payload, and
+each op's model is fitted from its own results alone — so it is
+identical whether the op is calibrated alone or alongside the other.
+The codecs are pure Python, so this pass is most of a cold start.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
-from repro.hw.engine import CdpuDevice
+from repro.hw.engine import CdpuDevice, RequestResult
 from repro.workloads.datagen import ratio_controlled_bytes
 
 
@@ -124,35 +131,56 @@ class DeviceCostModel:
     # -- calibration ---------------------------------------------------------
 
     @classmethod
-    def calibrate(cls, device: CdpuDevice, op: str = "compress",
+    def calibrate(cls, device: CdpuDevice,
+                  ops: tuple[str, ...] = ("compress",),
                   sizes: tuple[int, int] = (2048, 8192),
                   ratios: tuple[float, ...] = (0.35, 1.0),
-                  seed: int = 17) -> "DeviceCostModel":
-        """Fit a model by measuring real requests against ``device``."""
+                  seed: int = 17) -> dict[str, "DeviceCostModel"]:
+        """Fit one model per op by measuring real requests on ``device``.
+
+        One measurement pass: each (size, ratio) sample is compressed
+        once, and when ``"decompress"`` is in ``ops`` that payload is
+        decompressed too.  Each op is fitted from its own results only,
+        so a model is the same whichever other ops share the pass.
+        """
         if len(sizes) != 2 or sizes[0] >= sizes[1]:
             raise ServiceError(f"need two ascending sizes, got {sizes}")
-        small, large = sizes
+        unknown = [op for op in ops if op not in ("compress", "decompress")]
+        if not ops or unknown:
+            raise ServiceError(f"cannot calibrate ops {list(ops)}; "
+                               f"known: ['compress', 'decompress']")
+        measured: dict[str, list[tuple[int, RequestResult]]] = {
+            op: [] for op in ops}
+        for index, target in enumerate(ratios):
+            for size in sizes:
+                data = ratio_controlled_bytes(size, target,
+                                              seed=seed + index)
+                result = device.compress(data)
+                if "compress" in measured:
+                    measured["compress"].append((size, result))
+                if "decompress" in measured:
+                    measured["decompress"].append(
+                        (size, device.decompress(result.payload)))
+        return {op: cls._fit(device, samples)
+                for op, samples in measured.items()}
+
+    @classmethod
+    def _fit(cls, device: CdpuDevice,
+             samples: list[tuple[int, RequestResult]]) -> "DeviceCostModel":
+        """Fit a model from (size, result) samples, small/large per ratio."""
         anchors: list[RatioAnchor] = []
         submit_samples: list[float] = []
         pre_points: list[tuple[int, float]] = []
         post_points: list[tuple[int, float]] = []
-        for index, target in enumerate(ratios):
-            measured: list[tuple[int, float, float]] = []
-            for size in (small, large):
-                data = ratio_controlled_bytes(size, target,
-                                              seed=seed + index)
-                if op == "decompress":
-                    payload = device.compress(data).payload
-                    result = device.decompress(payload)
-                else:
-                    result = device.compress(data)
-                profile = device.service_profile(result)
-                submit = result.latency.submit_ns
-                submit_samples.append(submit)
-                pre_points.append((size, max(profile.pre_ns - submit, 0.0)))
-                post_points.append((size, profile.post_ns))
-                measured.append((size, profile.engine_busy_ns, result.ratio))
-            (s0, e0, r0), (s1, e1, _) = measured
+        measured: list[tuple[int, float, float]] = []
+        for size, result in samples:
+            profile = device.service_profile(result)
+            submit = result.latency.submit_ns
+            submit_samples.append(submit)
+            pre_points.append((size, max(profile.pre_ns - submit, 0.0)))
+            post_points.append((size, profile.post_ns))
+            measured.append((size, profile.engine_busy_ns, result.ratio))
+        for (s0, e0, r0), (s1, e1, _) in zip(measured[::2], measured[1::2]):
             per_byte = max((e1 - e0) / (s1 - s0), 0.0)
             overhead = max(e0 - per_byte * s0, 0.0)
             anchors.append(RatioAnchor(ratio=r0, overhead_ns=overhead,
@@ -192,7 +220,8 @@ def _fit_linear(points: list[tuple[int, float]]) -> tuple[float, float]:
 def calibrated(devices: list[CdpuDevice], op: str = "compress",
                **kwargs) -> list[tuple[CdpuDevice, DeviceCostModel]]:
     """Pair each device with its calibrated cost model."""
-    return [(device, DeviceCostModel.calibrate(device, op=op, **kwargs))
+    return [(device, DeviceCostModel.calibrate(device, ops=(op,),
+                                               **kwargs)[op])
             for device in devices]
 
 
@@ -208,6 +237,5 @@ def calibrated_ops(
     requests are priced by a decompress-calibrated model instead of
     being silently costed as compress.
     """
-    return [(device, {op: DeviceCostModel.calibrate(device, op=op, **kwargs)
-                      for op in ops})
+    return [(device, DeviceCostModel.calibrate(device, ops=ops, **kwargs))
             for device in devices]

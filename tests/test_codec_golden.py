@@ -157,7 +157,7 @@ def model_digests() -> dict[str, str]:
     digests = {}
     for spec in device_specs:
         device = build_device(spec)
-        models = {op: DeviceCostModel.calibrate(device, op=op) for op in ops}
+        models = DeviceCostModel.calibrate(device, ops=ops)
         digests[device.name] = _digest({
             op: {"anchors": model.anchors,
                  "submit_ns": model.submit_ns,

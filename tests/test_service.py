@@ -8,7 +8,8 @@ one integration test calibrates the real mixed fleet.
 import pytest
 
 from service_stubs import StubDevice, flat_model, make_fleet, parts_cluster
-from repro.cluster import Cluster, default_cluster_spec
+from repro.cluster import Cluster, build_device, default_cluster_spec
+from repro.cluster import session as cluster_session
 from repro.errors import ServiceError
 from repro.hw.engine import Placement
 from repro.service import (
@@ -60,15 +61,79 @@ class TestCostModel:
 
     def test_calibrate_real_device_orders_by_size(self):
         from repro.hw.qat import Qat4xxx
-        model = DeviceCostModel.calibrate(Qat4xxx())
+        model = DeviceCostModel.calibrate(Qat4xxx())["compress"]
         small = model.predict(4096, 0.5)
         large = model.predict(65536, 0.5)
         assert large.engine_ns > small.engine_ns
         assert model.predict(4096, 1.0).engine_ns > small.engine_ns
 
 
+def _model_fields(model):
+    return (model.anchors, model.submit_ns,
+            model.pre_overhead_ns, model.pre_per_byte_ns,
+            model.post_overhead_ns, model.post_per_byte_ns)
+
+
+class TestOnePassCalibration:
+    """One measurement pass fits each op exactly as calibrating it alone."""
+
+    @pytest.fixture(scope="class")
+    def store_fleet(self):
+        fleet = default_cluster_spec(store=True).fleet
+        return [*fleet.devices, fleet.spill]
+
+    def test_joint_pass_equals_per_op_passes(self, store_fleet):
+        assert any(spec.kind == "cpu" and spec.algorithm == "snappy"
+                   for spec in store_fleet)
+        for spec in store_fleet:
+            device = build_device(spec)
+            joint = DeviceCostModel.calibrate(
+                device, ops=("compress", "decompress"))
+            assert list(joint) == ["compress", "decompress"]
+            for op in joint:
+                alone = DeviceCostModel.calibrate(device, ops=(op,))
+                assert list(alone) == [op]
+                assert _model_fields(joint[op]) == \
+                    _model_fields(alone[op]), (device.name, op)
+
+    def test_unknown_or_empty_ops_rejected(self):
+        from repro.hw.qat import Qat4xxx
+        with pytest.raises(ServiceError, match="cannot calibrate"):
+            DeviceCostModel.calibrate(Qat4xxx(), ops=())
+        with pytest.raises(ServiceError, match="cannot calibrate"):
+            DeviceCostModel.calibrate(Qat4xxx(), ops=("compres",))
+
+    def test_cluster_cache_calibrates_only_missing_ops(self, monkeypatch):
+        monkeypatch.setattr(cluster_session, "_MODEL_CACHE", {})
+        passes = []
+        real = DeviceCostModel.calibrate.__func__
+
+        def recording(cls, device, ops=("compress",), **kwargs):
+            passes.append((device.name, tuple(ops)))
+            return real(cls, device, ops=ops, **kwargs)
+
+        monkeypatch.setattr(DeviceCostModel, "calibrate",
+                            classmethod(recording))
+        first, second = default_cluster_spec(store=True).fleet.devices[:2]
+        device = build_device(first)
+        compress = cluster_session.calibrated_models(
+            first, device, ("compress",))
+        both = cluster_session.calibrated_models(
+            first, device, ("compress", "decompress"))
+        again = cluster_session.calibrated_models(
+            first, device, ("decompress", "compress"))
+        other = build_device(second)
+        cluster_session.calibrated_models(
+            second, other, ("compress", "decompress"))
+        assert passes == [(device.name, ("compress",)),
+                          (device.name, ("decompress",)),
+                          (other.name, ("compress", "decompress"))]
+        assert both["compress"] is compress["compress"]
+        assert again == both
+
+
 class TestDecompressCalibration:
-    """``calibrate(op="decompress")`` across the whole default fleet."""
+    """Decompress calibration across the whole default fleet."""
 
     @pytest.fixture(scope="class")
     def models(self):
