@@ -24,18 +24,24 @@ class BitWriter:
 
         ``nbits`` may be zero, in which case nothing is emitted.
         """
-        if nbits < 0:
-            raise ValueError(f"nbits must be >= 0, got {nbits}")
-        if nbits == 0:
-            return
-        if value < 0:
+        if nbits <= 0 or value < 0:
+            if nbits < 0:
+                raise ValueError(f"nbits must be >= 0, got {nbits}")
+            if nbits == 0:
+                return
             raise ValueError(f"value must be >= 0, got {value}")
-        self._accumulator |= (value & ((1 << nbits) - 1)) << self._bit_count
-        self._bit_count += nbits
-        while self._bit_count >= 8:
-            self._buffer.append(self._accumulator & 0xFF)
-            self._accumulator >>= 8
-            self._bit_count -= 8
+        count = self._bit_count
+        accumulator = (self._accumulator
+                       | (value & ((1 << nbits) - 1)) << count)
+        count += nbits
+        if count >= 8:
+            buffer = self._buffer
+            while count >= 8:
+                buffer.append(accumulator & 0xFF)
+                accumulator >>= 8
+                count -= 8
+        self._accumulator = accumulator
+        self._bit_count = count
 
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes; requires the writer to be byte-aligned."""
@@ -72,23 +78,63 @@ class BitReader:
 
     def read(self, nbits: int) -> int:
         """Consume and return ``nbits`` bits as an unsigned integer."""
-        if nbits < 0:
-            raise ValueError(f"nbits must be >= 0, got {nbits}")
-        if nbits == 0:
+        if nbits <= 0:
+            if nbits < 0:
+                raise ValueError(f"nbits must be >= 0, got {nbits}")
             return 0
-        while self._bit_count < nbits:
-            if self._byte_pos >= len(self._data):
-                raise BitstreamError(
-                    f"bitstream exhausted: wanted {nbits} bits, "
-                    f"{self._bit_count} available"
-                )
-            self._accumulator |= self._data[self._byte_pos] << self._bit_count
-            self._byte_pos += 1
-            self._bit_count += 8
-        value = self._accumulator & ((1 << nbits) - 1)
-        self._accumulator >>= nbits
-        self._bit_count -= nbits
-        return value
+        count = self._bit_count
+        if count < nbits:
+            data = self._data
+            pos = self._byte_pos
+            while count < nbits:
+                if pos >= len(data):
+                    self._byte_pos = pos
+                    self._bit_count = count
+                    raise BitstreamError(
+                        f"bitstream exhausted: wanted {nbits} bits, "
+                        f"{count} available"
+                    )
+                self._accumulator |= data[pos] << count
+                pos += 1
+                count += 8
+            self._byte_pos = pos
+        accumulator = self._accumulator
+        self._accumulator = accumulator >> nbits
+        self._bit_count = count - nbits
+        return accumulator & ((1 << nbits) - 1)
+
+    def read_prefix(self, table: list[int], width: int) -> int:
+        """Decode one prefix code through a ``1 << width`` lookup table.
+
+        ``table`` is indexed by the next ``width`` bits; a nonzero entry
+        packs ``value << 4 | length`` and consumes ``length`` bits.
+        Returns ``value``, or -1 without consuming anything when fewer
+        than ``width`` bits remain or the entry is zero (no code starts
+        there), so the caller can fall back to a bit-serial decode.
+        """
+        count = self._bit_count
+        if count < width:
+            data = self._data
+            pos = self._byte_pos
+            accumulator = self._accumulator
+            while count < width:
+                if pos >= len(data):
+                    break
+                accumulator |= data[pos] << count
+                pos += 1
+                count += 8
+            self._accumulator = accumulator
+            self._byte_pos = pos
+            self._bit_count = count
+            if count < width:
+                return -1
+        entry = table[self._accumulator & ((1 << width) - 1)]
+        if not entry:
+            return -1
+        length = entry & 0xF
+        self._accumulator >>= length
+        self._bit_count = count - length
+        return entry >> 4
 
     def peek(self, nbits: int) -> int:
         """Return up to ``nbits`` bits without consuming them.

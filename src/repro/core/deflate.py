@@ -127,23 +127,30 @@ class DeflateCodec:
         dist_lengths = huffman.parse_lengths(reader)
         litlen = huffman.HuffmanTable(litlen_lengths)
         dist = huffman.HuffmanTable(dist_lengths)
+        decode_litlen = litlen.decode_symbol
+        decode_dist = dist.decode_symbol
+        read = reader.read
         out = bytearray()
         while True:
-            symbol = litlen.decode_symbol(reader)
+            symbol = decode_litlen(reader)
             if symbol < 256:
                 out.append(symbol)
                 continue
             if symbol == _EOB:
                 break
             index = symbol - 257
-            length = _LENGTH_BASE[index] + reader.read(_LENGTH_EXTRA[index])
-            dsym = dist.decode_symbol(reader)
-            distance = _DIST_BASE[dsym] + reader.read(_DIST_EXTRA[dsym])
+            length = _LENGTH_BASE[index] + read(_LENGTH_EXTRA[index])
+            dsym = decode_dist(reader)
+            distance = _DIST_BASE[dsym] + read(_DIST_EXTRA[dsym])
             src = len(out) - distance
             if src < 0:
                 raise DecompressionError("deflate distance before start")
-            for i in range(length):
-                out.append(out[src + i])
+            if distance >= length:
+                out += out[src:src + length]
+            else:
+                # Overlapping copy: byte-at-a-time replication.
+                for i in range(length):
+                    out.append(out[src + i])
         if len(out) != size:
             raise DecompressionError(
                 f"deflate decoded {len(out)} bytes, header says {size}"
@@ -154,12 +161,18 @@ class DeflateCodec:
 
     def _encode(self, data: bytes, tokens: TokenStream,
                 stats: DeflateStats) -> bytes:
-        symbols: list[tuple[int, int, int]] = []  # (symbol, extra, bits)
-        dist_syms: list[tuple[int, int, int]] = []
+        # Literal symbols as ints; each match piece as one tuple
+        # (symbol, extra, bits, dist symbol, dist extra, dist bits).
+        symbols: list = []
+        litlen_freqs = [0] * _LITLEN_ALPHABET
+        dist_freqs = [0] * _DIST_ALPHABET
+        literals = tokens.literals
         lit_pos = 0
         for seq in tokens.sequences:
-            for b in tokens.literals[lit_pos:lit_pos + seq.literal_length]:
-                symbols.append((b, 0, 0))
+            run = literals[lit_pos:lit_pos + seq.literal_length]
+            symbols.extend(run)
+            for b in run:
+                litlen_freqs[b] += 1
             lit_pos += seq.literal_length
             if seq.match_length:
                 # Chop matches beyond the format cap into 258-byte pieces.
@@ -169,17 +182,14 @@ class DeflateCodec:
                     if remaining - piece in (1, 2, 3):
                         piece = remaining - MIN_MATCH
                     sym, extra, bits = _length_symbol(piece)
-                    symbols.append((sym, extra, bits))
-                    dist_syms.append(_distance_symbol(seq.offset))
+                    dsym, dextra, dbits = _distance_symbol(seq.offset)
+                    symbols.append((sym, extra, bits, dsym, dextra, dbits))
+                    litlen_freqs[sym] += 1
+                    dist_freqs[dsym] += 1
                     remaining -= piece
-        symbols.append((_EOB, 0, 0))
+        symbols.append(_EOB)
+        litlen_freqs[_EOB] += 1
 
-        litlen_freqs = [0] * _LITLEN_ALPHABET
-        for sym, _, _ in symbols:
-            litlen_freqs[sym] += 1
-        dist_freqs = [0] * _DIST_ALPHABET
-        for sym, _, _ in dist_syms:
-            dist_freqs[sym] += 1
         litlen_table = huffman.build_huffman_table(litlen_freqs)
         stats.table_builds += 1
         writer = BitWriter()
@@ -192,18 +202,25 @@ class DeflateCodec:
         else:
             dist_table = huffman.HuffmanTable([0] * _DIST_ALPHABET)
         huffman.serialize_lengths(dist_table.lengths, writer)
-        dist_iter = iter(dist_syms)
-        for sym, extra, bits in symbols:
-            litlen_table.encode_symbol(sym, writer)
-            stats.litlen_symbols += 1
-            if bits:
-                writer.write(extra, bits)
-            if sym > _EOB:
-                dsym, dextra, dbits = next(dist_iter)
-                dist_table.encode_symbol(dsym, writer)
-                stats.dist_symbols += 1
-                if dbits:
-                    writer.write(dextra, dbits)
+        # Every symbol was counted into the frequencies, so has a code.
+        # A code and its extra bits go out in one LSB-first write.
+        litlen_codes = litlen_table.reversed_codes
+        dist_codes = dist_table.reversed_codes
+        write = writer.write
+        matches = 0
+        for symbol in symbols:
+            if symbol.__class__ is int:
+                code, length = litlen_codes[symbol]
+                write(code, length)
+                continue
+            sym, extra, bits, dsym, dextra, dbits = symbol
+            code, length = litlen_codes[sym]
+            write(code | extra << length, length + bits)
+            code, length = dist_codes[dsym]
+            write(code | dextra << length, length + dbits)
+            matches += 1
+        stats.litlen_symbols += len(symbols)
+        stats.dist_symbols += matches
         payload = writer.getvalue()
         raw_size = 5 + len(data)
         if len(payload) >= raw_size:

@@ -15,12 +15,18 @@ from dataclasses import dataclass, field
 #: Knuth multiplicative constant; cheap in hardware (shift/add network).
 _GOLDEN32 = 2654435761
 
-_EMPTY = -1
-
 
 def hash_word(word: int, bits: int) -> int:
     """Multiplicative hash of a 32-bit little-endian word to ``bits`` bits."""
     return ((word * _GOLDEN32) & 0xFFFFFFFF) >> (32 - bits)
+
+
+def hash_words(data: bytes, bits: int) -> list[int]:
+    """:func:`hash_word` of the 4-byte word at every position that has one."""
+    shift = 32 - bits
+    return [((int.from_bytes(data[p:p + 4], "little") * _GOLDEN32)
+             & 0xFFFFFFFF) >> shift
+            for p in range(len(data) - 3)]
 
 
 def hash_pair(word: int, bits: int) -> tuple[int, int]:
@@ -69,9 +75,13 @@ class BoundedHashTable:
     stats: HashTableStats = field(default_factory=HashTableStats)
 
     def __post_init__(self) -> None:
-        size = 1 << self.index_bits
-        self._slots = [[_EMPTY] * self.ways for _ in range(size)]
-        self._cursor = [0] * size
+        self._clear_slots()
+
+    def _clear_slots(self) -> None:
+        # Each bucket lists its positions newest first; inserting into a
+        # full bucket drops the oldest, the circular FIFO's eviction.
+        self._slots: list[list[int]] = [
+            [] for _ in range(1 << self.index_bits)]
 
     @property
     def bucket_count(self) -> int:
@@ -84,23 +94,13 @@ class BoundedHashTable:
 
     def reset(self) -> None:
         """Clear all buckets (a new independent block starts)."""
-        for bucket in self._slots:
-            for i in range(self.ways):
-                bucket[i] = _EMPTY
-        for i in range(len(self._cursor)):
-            self._cursor[i] = 0
+        self._clear_slots()
         self.stats.reset()
 
     def candidates(self, bucket: int) -> list[int]:
         """Return stored positions for ``bucket``, newest first."""
         self.stats.probes += 1
-        slots = self._slots[bucket]
-        cursor = self._cursor[bucket]
-        found = []
-        for i in range(self.ways):
-            pos = slots[(cursor - 1 - i) % self.ways]
-            if pos != _EMPTY:
-                found.append(pos)
+        found = self._slots[bucket][:]
         if found:
             self.stats.hits += 1
         return found
@@ -108,9 +108,8 @@ class BoundedHashTable:
     def insert(self, bucket: int, position: int) -> None:
         """Insert ``position``; the oldest slot is overwritten (FIFO)."""
         slots = self._slots[bucket]
-        cursor = self._cursor[bucket]
-        if slots[cursor] != _EMPTY:
+        if len(slots) == self.ways:
+            slots.pop()
             self.stats.evictions += 1
-        slots[cursor] = position
-        self._cursor[bucket] = (cursor + 1) % self.ways
+        slots.insert(0, position)
         self.stats.inserts += 1

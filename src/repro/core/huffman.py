@@ -62,8 +62,9 @@ class HuffmanTable:
 
     ``lengths[symbol]`` is zero for absent symbols.  ``codes[symbol]`` is
     ``(code, length)`` with the code in canonical MSB-first orientation;
-    the encoder bit-reverses on write so the LSB-first bitstream decodes
-    MSB-first (the DEFLATE convention).
+    ``reversed_codes[symbol]`` holds the same code bit-reversed, as the
+    LSB-first bitstream carries it so it decodes MSB-first (the DEFLATE
+    convention).  Both are fixed when the table is built.
     """
 
     lengths: list[int]
@@ -94,11 +95,18 @@ class HuffmanTable:
             code = (code + counts[length - 1]) << 1
             next_code[length] = code
         codes: list[tuple[int, int]] = [(0, 0)] * len(lengths)
+        reversed_codes: list[tuple[int, int]] = [(0, 0)] * len(lengths)
         for symbol, length in enumerate(lengths):
             if length:
                 codes[symbol] = (next_code[length], length)
+                reversed_codes[symbol] = (
+                    _reverse_bits(next_code[length], length), length)
                 next_code[length] += 1
         self.codes = codes
+        self.reversed_codes = reversed_codes
+        # Peek-width decode table, built on the first decode.
+        self._lookup: list[int] | None = None
+        self._lookup_bits = max(lengths, default=0)
         self._counts = counts
         # Canonical decode metadata: first code value and first symbol
         # index per length, over symbols sorted by (length, symbol).
@@ -123,15 +131,41 @@ class HuffmanTable:
 
     def encode_symbol(self, symbol: int, writer: BitWriter) -> int:
         """Write one symbol; returns the number of bits emitted."""
-        code, length = self.codes[symbol]
+        code, length = self.reversed_codes[symbol]
         if length == 0:
             raise CompressionError(f"symbol {symbol} has no code")
-        # Bit-reverse so an LSB-first stream yields MSB-first code bits.
-        writer.write(_reverse_bits(code, length), length)
+        writer.write(code, length)
         return length
 
     def decode_symbol(self, reader: BitReader) -> int:
-        """Read one canonical code MSB-first and return its symbol."""
+        """Read one canonical code MSB-first and return its symbol.
+
+        A lookup table indexed by the next ``width`` stream bits (the
+        longest code length) resolves a symbol in one step.  With fewer
+        bits left in the stream, or on bits that start no code, the
+        bit-serial canonical walk decodes instead, so the result and
+        every error are exactly the walk's.
+        """
+        lookup = self._lookup
+        if lookup is None:
+            lookup = self._build_lookup()
+        symbol = reader.read_prefix(lookup, self._lookup_bits)
+        if symbol >= 0:
+            return symbol
+        return self._decode_serial(reader)
+
+    def _build_lookup(self) -> list[int]:
+        """Entry ``symbol << 4 | length`` at every index the code prefixes."""
+        width = self._lookup_bits
+        lookup = [0] * (1 << width)
+        for symbol, (code, length) in enumerate(self.reversed_codes):
+            if length:
+                lookup[code::1 << length] = (
+                    [symbol << 4 | length] * (1 << (width - length)))
+        self._lookup = lookup
+        return lookup
+
+    def _decode_serial(self, reader: BitReader) -> int:
         code = 0
         for length in range(1, self.max_bits + 1):
             code = (code << 1) | reader.read(1)
@@ -362,8 +396,12 @@ def encode_block(
     writer = BitWriter()
     serialize_lengths(table.lengths, writer)
     writer.align()
+    # Every symbol was counted into ``freqs``, so every one has a code.
+    codes = table.reversed_codes
+    write = writer.write
     for symbol in symbols:
-        table.encode_symbol(symbol, writer)
+        code, length = codes[symbol]
+        write(code, length)
     return writer.getvalue(), table.report
 
 

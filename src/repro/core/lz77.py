@@ -100,7 +100,11 @@ class DpzipLz77Encoder:
 
     def encode(self, data: bytes) -> TokenStream:
         """Tokenize ``data``; each call is an independent block."""
-        self._table.reset()
+        table = self._table
+        table.reset()
+        insert = table.insert
+        index_bits = self.index_bits
+        group_size = self.group_size
         stats = EncoderStats()
         n = len(data)
         literals = bytearray()
@@ -109,17 +113,17 @@ class DpzipLz77Encoder:
         lit_start = 0
         probe_limit = n - MIN_MATCH + 1
         while pos < probe_limit:
-            group_end = min(pos + self.group_size, probe_limit)
+            group_end = min(pos + group_size, probe_limit)
             stats.groups += 1
             found: tuple[int, int, int] | None = None  # (pos, offset, length)
             for p in range(pos, group_end):
                 stats.positions_probed += 1
-                word = int.from_bytes(data[p:p + 4], "little")
-                h0, h1 = hash_pair(word, self.index_bits)
-                match = self._probe(data, p, h0, h1, stats)
-                self._table.insert(h0, p)
+                word = data[p:p + 4]
+                h0, h1 = hash_pair(int.from_bytes(word, "little"), index_bits)
+                match = self._probe(data, p, word, h0, h1, stats)
+                insert(h0, p)
                 if h1 != h0:
-                    self._table.insert(h1, p)
+                    insert(h1, p)
                 if match is not None:
                     found = (p, match[0], match[1])
                     break  # first-fit: accept without backtracking
@@ -137,9 +141,9 @@ class DpzipLz77Encoder:
             # Incremental dictionary update: insert covered positions on a
             # 4-byte stride ("either per iteration or every 4 bytes").
             for q in range(match_pos + 4, min(match_pos + length, n - 4), 4):
-                word = int.from_bytes(data[q:q + 4], "little")
-                h0, _ = hash_pair(word, self.index_bits)
-                self._table.insert(h0, q)
+                h0, _ = hash_pair(int.from_bytes(data[q:q + 4], "little"),
+                                  index_bits)
+                insert(h0, q)
             pos = match_pos + length
             lit_start = pos
         # Trailing literals flush through a terminal match-less sequence.
@@ -157,15 +161,20 @@ class DpzipLz77Encoder:
         self,
         data: bytes,
         p: int,
+        word: bytes,
         h0: int,
         h1: int,
         stats: EncoderStats,
     ) -> tuple[int, int] | None:
-        """Two-level match check; returns ``(offset, length)`` or None."""
-        word = data[p:p + 4]
+        """Two-level match check of ``word`` (the 4 bytes at ``p``).
+
+        Returns ``(offset, length)`` or None.
+        """
+        candidates = self._table.candidates
+        oldest = p - self.window
         for bucket in (h0, h1):
-            for candidate in self._table.candidates(bucket):
-                if candidate >= p or p - candidate > self.window:
+            for candidate in candidates(bucket):
+                if candidate >= p or candidate < oldest:
                     continue
                 stats.candidate_compares += 1
                 if data[candidate:candidate + 4] != word:
@@ -177,10 +186,17 @@ class DpzipLz77Encoder:
     @staticmethod
     def _extend(data: bytes, candidate: int, p: int,
                 stats: EncoderStats) -> int:
-        """Byte-wise history match beyond the verified 4-byte prefix."""
-        n = len(data)
+        """History match beyond the verified 4-byte prefix.
+
+        Compares eight bytes at a time, then byte by byte.
+        """
+        limit = len(data) - p
         length = 4
-        while p + length < n and data[candidate + length] == data[p + length]:
+        while (length + 8 <= limit
+               and data[candidate + length:candidate + length + 8]
+               == data[p + length:p + length + 8]):
+            length += 8
+        while length < limit and data[candidate + length] == data[p + length]:
             length += 1
         stats.extension_bytes += length - 4
         return length

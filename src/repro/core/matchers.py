@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.hashtable import hash_word
+from repro.core.hashtable import hash_words
 from repro.core.tokens import MIN_MATCH, Sequence, TokenStream
 from repro.errors import CompressionError
 
@@ -88,47 +88,50 @@ class ChainMatcher:
     def tokenize(self, data: bytes) -> TokenStream:
         """Produce a token stream; each call is an independent block."""
         cfg = self.config
-        stats = MatcherStats()
+        max_chain = cfg.max_chain
+        window = cfg.window
+        nice_length = cfg.nice_length
+        max_match = cfg.max_match
         n = len(data)
+        # Positions below ``hashed`` start a full 4-byte word.
+        hashed = n - MIN_MATCH + 1
+        buckets = hash_words(data, cfg.hash_log)
         head = [-1] * (1 << cfg.hash_log)
         prev = [-1] * n
         literals = bytearray()
         sequences: list[Sequence] = []
         pos = 0
         lit_start = 0
-
-        def insert(p: int) -> None:
-            if p + 4 > n:
-                return
-            word = int.from_bytes(data[p:p + 4], "little")
-            bucket = hash_word(word, cfg.hash_log)
-            prev[p] = head[bucket]
-            head[bucket] = p
-            stats.hash_inserts += 1
+        positions = hash_inserts = chain_steps = compare_bytes = 0
+        lazy_evaluations = matches = matched_bytes = literal_count = 0
 
         def find(p: int) -> tuple[int, int]:
             """Best ``(length, offset)`` at ``p`` (0, 0 when none)."""
-            if p + MIN_MATCH > n:
+            nonlocal chain_steps, compare_bytes
+            if p >= hashed:
                 return 0, 0
-            word = int.from_bytes(data[p:p + 4], "little")
-            bucket = hash_word(word, cfg.hash_log)
-            candidate = head[bucket]
+            candidate = head[buckets[p]]
             best_len = 0
             best_off = 0
-            chain = cfg.max_chain
-            limit = min(n - p, cfg.max_match)
-            while candidate >= 0 and chain > 0 and p - candidate <= cfg.window:
-                stats.chain_steps += 1
+            chain = max_chain
+            limit = min(n - p, max_match)
+            while candidate >= 0 and chain > 0 and p - candidate <= window:
+                chain_steps += 1
                 chain -= 1
+                # Extend eight bytes at a time, then byte by byte.
                 length = 0
+                while (length + 8 <= limit
+                       and data[candidate + length:candidate + length + 8]
+                       == data[p + length:p + length + 8]):
+                    length += 8
                 while (length < limit
                        and data[candidate + length] == data[p + length]):
                     length += 1
-                stats.compare_bytes += length + 1
+                compare_bytes += length + 1
                 if length > best_len:
                     best_len = length
                     best_off = p - candidate
-                    if length >= cfg.nice_length:
+                    if length >= nice_length:
                         break
                 candidate = prev[candidate]
             if best_len < MIN_MATCH:
@@ -136,40 +139,53 @@ class ChainMatcher:
             return best_len, best_off
 
         while pos < n:
-            stats.positions += 1
+            positions += 1
             length, offset = find(pos)
             if length == 0:
-                insert(pos)
+                if pos < hashed:
+                    bucket = buckets[pos]
+                    prev[pos] = head[bucket]
+                    head[bucket] = pos
+                    hash_inserts += 1
                 pos += 1
                 continue
             if cfg.lazy and pos + 1 < n:
-                stats.lazy_evaluations += 1
-                insert(pos)
+                lazy_evaluations += 1
+                bucket = buckets[pos]
+                prev[pos] = head[bucket]
+                head[bucket] = pos
+                hash_inserts += 1
                 next_length, next_offset = find(pos + 1)
                 if next_length > length + 1:
                     # Defer: take the better match at pos+1.
                     pos += 1
                     length, offset = next_length, next_offset
-                inserted_current = True
+                start = pos + 1
             else:
-                inserted_current = False
+                start = pos
             literal_len = pos - lit_start
             literals += data[lit_start:pos]
             sequences.append(Sequence(literal_len, length, offset))
-            stats.matches += 1
-            stats.matched_bytes += length
-            stats.literals += literal_len
-            start = pos if not inserted_current else pos + 1
-            for q in range(start, min(pos + length, n - 3)):
-                insert(q)
+            matches += 1
+            matched_bytes += length
+            literal_count += literal_len
+            for q in range(start, min(pos + length, hashed)):
+                bucket = buckets[q]
+                prev[q] = head[bucket]
+                head[bucket] = q
+            hash_inserts += max(min(pos + length, hashed) - start, 0)
             pos += length
             lit_start = pos
         if lit_start < n:
             tail = n - lit_start
             literals += data[lit_start:]
             sequences.append(Sequence(tail, 0, 0))
-            stats.literals += tail
-        self.stats = stats
+            literal_count += tail
+        self.stats = MatcherStats(
+            positions=positions, hash_inserts=hash_inserts,
+            chain_steps=chain_steps, compare_bytes=compare_bytes,
+            lazy_evaluations=lazy_evaluations, matches=matches,
+            matched_bytes=matched_bytes, literals=literal_count)
         stream = TokenStream(bytes(literals), sequences)
         stream.validate()
         return stream

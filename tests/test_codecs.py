@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import blockformat, get_compressor
+from repro.core import blockformat, get_compressor, huffman
+from repro.core.bitio import BitWriter
 from repro.core.blockformat import (
     ll_code, ll_extra_bits, ll_value,
     ml_code, ml_extra_bits, ml_value,
@@ -25,7 +26,7 @@ from repro.core.matchers import (
 from repro.core.snappy import SnappyCodec
 from repro.core.tokens import reconstruct
 from repro.core.zstd import ZstdLikeCodec
-from repro.errors import DecompressionError
+from repro.errors import BitstreamError, DecompressionError
 
 CASES = {
     "empty": b"",
@@ -143,6 +144,96 @@ class TestLevelPresets:
         # One match covers the whole repeat, uncapped at deflate's 258.
         assert first.matcher_stats["matches"] == 1
         assert first.matcher_stats["matched_bytes"] == len(data) - 4
+
+
+def _de_bruijn(alphabet: bytes, order: int) -> bytes:
+    """Every ``order``-gram over ``alphabet`` exactly once (cyclic)."""
+    k = len(alphabet)
+    a = [0] * k * order
+    out: list[int] = []
+
+    def db(t: int, p: int) -> None:
+        if t > order:
+            if order % p == 0:
+                out.extend(a[1:p + 1])
+        else:
+            a[t] = a[t - p]
+            db(t + 1, p)
+            for j in range(a[t - p] + 1, k):
+                a[t] = j
+                db(t + 1, t)
+
+    db(1, 1)
+    return bytes(alphabet[i] for i in out)
+
+
+class TestDecodeEdges:
+    """Table-driven Huffman decode keeps every frame's exact behaviour."""
+
+    def test_truncated_deflate_frame_raises_bitstream_error(self):
+        data = CASES["text"] + CASES["random"][:500]
+        payload = DeflateCodec(level=1).compress(data)
+        for cut in (1, 2, 7, len(payload) // 2, len(payload) - 8):
+            with pytest.raises(BitstreamError):
+                DeflateCodec(level=1).decompress(payload[:-cut])
+
+    def test_truncated_dpzip_literals_raise_bitstream_error(self):
+        page = bytes(random.Random(3).choices(b"etaoin shrdlu", k=4096))
+        frame, stats = blockformat.encode_frame(
+            page, DpzipCodec()._encoder.encode(page))
+        assert stats.literal_mode == "huffman"
+        # Cut the Huffman literal payload short and re-frame it.
+        pos = 1
+        _, pos = read_varint(frame, pos)
+        _, pos = read_varint(frame, pos)
+        assert frame[pos] == 1  # Huffman literal mode
+        enc_len, body = read_varint(frame, pos + 1)
+        for cut in (1, 3, enc_len // 2):
+            out = bytearray(frame[:pos + 1])
+            write_varint(out, enc_len - cut)
+            out += frame[body:body + enc_len - cut]
+            out += frame[body + enc_len:]
+            with pytest.raises(BitstreamError):
+                blockformat.decode_frame(bytes(out))
+
+    def test_invalid_deflate_code_raises_decompression_error(self):
+        # A hand-built frame whose literal/length code is incomplete:
+        # "a" is 0 and end-of-block is 10, so 11 starts no code.
+        lengths = [0] * 286
+        lengths[ord("a")] = 1
+        lengths[256] = 2
+        for tail_bytes, error in ((1, DecompressionError),
+                                  (0, BitstreamError)):
+            writer = BitWriter()
+            writer.write(1, 8)  # dynamic mode
+            writer.write(2, 32)
+            huffman.serialize_lengths(lengths, writer)
+            huffman.serialize_lengths([0] * 30, writer)
+            writer.write(0, 1)  # "a"
+            writer.write(0b11, 2)
+            writer.align()  # 7 bits of "11" and padding before the tail
+            payload = writer.getvalue() + b"\xff" * tail_bytes
+            with pytest.raises(error) as caught:
+                DeflateCodec(level=1).decompress(payload)
+            if error is DecompressionError:
+                assert not isinstance(caught.value, BitstreamError)
+                assert "invalid Huffman code" in str(caught.value)
+
+    def test_deflate_without_matches_has_empty_distance_table(self):
+        data = _de_bruijn(b"ACGTNX", 4)
+        codec = DeflateCodec(level=1)
+        payload = codec.compress(data)
+        assert codec.last_stats.dist_symbols == 0
+        assert codec.last_stats.table_builds == 1
+        assert len(payload) < len(data)  # Huffman-coded, not raw
+        assert codec.decompress(payload) == data
+
+    def test_single_literal_symbol_round_trips(self):
+        data = b"\x07" * 3  # too short for a match: one literal symbol
+        for codec in (DeflateCodec(level=1), DpzipCodec()):
+            compressed = codec.compress(data)
+            payload = getattr(compressed, "payload", compressed)
+            assert codec.decompress(payload) == data
 
 
 class TestBlockFormat:

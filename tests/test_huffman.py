@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import huffman
 from repro.core.bitio import BitReader, BitWriter
-from repro.errors import CompressionError
+from repro.errors import BitstreamError, CompressionError, DecompressionError
 
 
 def _kraft(lengths, max_bits):
@@ -120,6 +120,90 @@ class TestEncodeDecode:
         payload, _ = huffman.encode_block(data)
         # header + ~8 bits/symbol: bounded near input size
         assert len(payload) < len(data) * 1.2 + 160
+
+
+def _fib_freqs(count):
+    freqs = [1, 1]
+    while len(freqs) < count:
+        freqs.append(freqs[-1] + freqs[-2])
+    return freqs
+
+
+class TestTableDecode:
+    """The lookup-table decode is exact at the stream tail and on errors."""
+
+    def _encode(self, table, symbols):
+        writer = BitWriter()
+        for symbol in symbols:
+            table.encode_symbol(symbol, writer)
+        return writer.bit_length, writer.getvalue()
+
+    def test_tail_shorter_than_table_width_decodes_exactly(self):
+        table = huffman.build_huffman_table(_fib_freqs(16))
+        shortest = min(range(16), key=lambda s: table.lengths[s])
+        longest = max(range(16), key=lambda s: table.lengths[s])
+        assert table.lengths[longest] == 11
+        assert table.lengths[shortest] == 1
+        symbols = [longest, 3, longest, shortest, shortest, shortest]
+        bits, payload = self._encode(table, symbols)
+        reader = BitReader(payload)
+        decoded = []
+        for symbol in symbols:
+            remaining = len(payload) * 8 - reader.bits_consumed
+            decoded.append(table.decode_symbol(reader))
+        # The last symbols decode with fewer bits left than the width.
+        assert remaining < table.lengths[longest]
+        assert decoded == symbols
+        assert reader.bits_consumed == bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=300),
+           st.integers(1, 11))
+    def test_matches_bit_serial_decode(self, symbols, max_bits):
+        freqs = [0] * 41
+        for symbol in symbols:
+            freqs[symbol] += 1
+        try:
+            table = huffman.build_huffman_table(freqs, max_bits)
+        except CompressionError:
+            return  # too many symbols for the width
+        bits, payload = self._encode(table, symbols)
+        reader = BitReader(payload)
+        assert [table.decode_symbol(reader) for _ in symbols] == symbols
+        assert reader.bits_consumed == bits
+
+    def test_invalid_code_raises_decompression_error(self):
+        # Codes "0" and "10"; "11" starts no code.
+        table = huffman.HuffmanTable([1, 2])
+        with pytest.raises(DecompressionError, match="invalid Huffman"):
+            table.decode_symbol(BitReader(b"\xff\xff"))
+        # Fewer bits than the longest possible code: the stream runs out.
+        with pytest.raises(BitstreamError):
+            table.decode_symbol(BitReader(b"\xff"))
+        assert table.decode_symbol(BitReader(b"\x01")) == 1
+
+    def test_single_symbol_table_round_trips(self):
+        table = huffman.HuffmanTable([0, 1, 0])
+        bits, payload = self._encode(table, [1] * 13)
+        reader = BitReader(payload)
+        assert [table.decode_symbol(reader) for _ in range(13)] == [1] * 13
+        assert reader.bits_consumed == bits == 13
+        with pytest.raises(DecompressionError, match="invalid Huffman"):
+            table.decode_symbol(BitReader(b"\x01\xff"))
+
+    def test_empty_table_decodes_nothing(self):
+        table = huffman.HuffmanTable([0] * 30)
+        with pytest.raises(DecompressionError, match="invalid Huffman"):
+            table.decode_symbol(BitReader(bytes(2)))
+        with pytest.raises(BitstreamError):
+            table.decode_symbol(BitReader(bytes(1)))
+
+    def test_block_tail_is_exact(self):
+        data = b"a" * 997 + b"bc"
+        payload, _ = huffman.encode_block(data)
+        assert bytes(huffman.decode_block(payload, len(data))) == data
+        with pytest.raises(BitstreamError):
+            huffman.decode_block(payload[:-1], len(data))
 
 
 class TestLengthSerialization:
