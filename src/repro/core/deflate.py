@@ -17,12 +17,13 @@ this codec functionally and differ only in their device/cost models.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from repro.core import huffman
 from repro.core.bitio import BitReader, BitWriter
 from repro.core.matchers import ChainMatcher, ChainMatcherConfig, config_for_level
-from repro.core.tokens import MIN_MATCH, TokenStream
+from repro.core.tokens import MIN_MATCH, TokenStream, copy_match
 from repro.errors import CompressionError, DecompressionError
 
 _EOB = 256  # end-of-block symbol
@@ -57,6 +58,11 @@ def _length_symbol(length: int) -> tuple[int, int, int]:
     """Match length -> ``(symbol, extra_value, extra_bits)``."""
     if length < 3 or length > _MAX_MATCH:
         raise CompressionError(f"deflate length {length} out of range")
+    return _LENGTH_SYMBOLS[length]
+
+
+def _scan_length_symbol(length: int) -> tuple[int, int, int]:
+    """The RFC 1951 length-code scan :data:`_LENGTH_SYMBOLS` tabulates."""
     for index in range(len(_LENGTH_BASE) - 1, -1, -1):
         if length >= _LENGTH_BASE[index]:
             if index == len(_LENGTH_BASE) - 1 and length != 258:
@@ -66,14 +72,18 @@ def _length_symbol(length: int) -> tuple[int, int, int]:
     raise CompressionError(f"unmappable deflate length {length}")
 
 
+#: Length -> ``(symbol, extra_value, extra_bits)`` for lengths 3..258.
+_LENGTH_SYMBOLS = {length: _scan_length_symbol(length)
+                   for length in range(3, _MAX_MATCH + 1)}
+
+
 def _distance_symbol(distance: int) -> tuple[int, int, int]:
     """Match offset -> ``(symbol, extra_value, extra_bits)``."""
     if distance < 1 or distance > 32768:
         raise CompressionError(f"deflate distance {distance} out of range")
-    for index in range(len(_DIST_BASE) - 1, -1, -1):
-        if distance >= _DIST_BASE[index]:
-            return index, distance - _DIST_BASE[index], _DIST_EXTRA[index]
-    raise CompressionError(f"unmappable deflate distance {distance}")
+    # The last code whose base does not exceed the distance.
+    index = bisect_right(_DIST_BASE, distance) - 1
+    return index, distance - _DIST_BASE[index], _DIST_EXTRA[index]
 
 
 @dataclass
@@ -127,12 +137,16 @@ class DeflateCodec:
         dist_lengths = huffman.parse_lengths(reader)
         litlen = huffman.HuffmanTable(litlen_lengths)
         dist = huffman.HuffmanTable(dist_lengths)
-        decode_litlen = litlen.decode_symbol
-        decode_dist = dist.decode_symbol
+        # Table-driven decode; -1 falls back to the exact bit-serial walk.
+        litlen_lookup, litlen_bits = litlen.decoder()
+        dist_lookup, dist_bits = dist.decoder()
+        read_prefix = reader.read_prefix
         read = reader.read
         out = bytearray()
         while True:
-            symbol = decode_litlen(reader)
+            symbol = read_prefix(litlen_lookup, litlen_bits)
+            if symbol < 0:
+                symbol = litlen.decode_symbol(reader)
             if symbol < 256:
                 out.append(symbol)
                 continue
@@ -140,17 +154,13 @@ class DeflateCodec:
                 break
             index = symbol - 257
             length = _LENGTH_BASE[index] + read(_LENGTH_EXTRA[index])
-            dsym = decode_dist(reader)
+            dsym = read_prefix(dist_lookup, dist_bits)
+            if dsym < 0:
+                dsym = dist.decode_symbol(reader)
             distance = _DIST_BASE[dsym] + read(_DIST_EXTRA[dsym])
-            src = len(out) - distance
-            if src < 0:
+            if len(out) < distance:
                 raise DecompressionError("deflate distance before start")
-            if distance >= length:
-                out += out[src:src + length]
-            else:
-                # Overlapping copy: byte-at-a-time replication.
-                for i in range(length):
-                    out.append(out[src + i])
+            copy_match(out, distance, length)
         if len(out) != size:
             raise DecompressionError(
                 f"deflate decoded {len(out)} bytes, header says {size}"

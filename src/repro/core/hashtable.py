@@ -10,6 +10,7 @@ describes, and counts probe/insert operations for the cycle model.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 #: Knuth multiplicative constant; cheap in hardware (shift/add network).
@@ -23,10 +24,16 @@ def hash_word(word: int, bits: int) -> int:
 
 def hash_words(data: bytes, bits: int) -> list[int]:
     """:func:`hash_word` of the 4-byte word at every position that has one."""
+    positions = len(data) - 3
+    hashes = [0] * max(positions, 0)
     shift = 32 - bits
-    return [((int.from_bytes(data[p:p + 4], "little") * _GOLDEN32)
-             & 0xFFFFFFFF) >> shift
-            for p in range(len(data) - 3)]
+    # Positions k, k+4, k+8, ... hold consecutive aligned words.
+    for k in range(min(4, max(positions, 0))):
+        count = (positions - k + 3) // 4
+        words = struct.unpack(f"<{count}I", data[k:k + 4 * count])
+        hashes[k::4] = [((word * _GOLDEN32) & 0xFFFFFFFF) >> shift
+                        for word in words]
+    return hashes
 
 
 def hash_pair(word: int, bits: int) -> tuple[int, int]:

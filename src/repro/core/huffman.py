@@ -112,15 +112,16 @@ class HuffmanTable:
         # index per length, over symbols sorted by (length, symbol).
         first_code = [0] * (self.max_bits + 1)
         first_index = [0] * (self.max_bits + 1)
-        ordered: list[int] = []
+        # A stable sort by length keeps equal lengths in symbol order.
+        ordered = sorted((sym for sym, slen in enumerate(lengths) if slen),
+                         key=lengths.__getitem__)
         code = 0
+        index = 0
         for length in range(1, self.max_bits + 1):
             code = (code + counts[length - 1]) << 1
             first_code[length] = code
-            first_index[length] = len(ordered)
-            ordered.extend(
-                sym for sym, slen in enumerate(lengths) if slen == length
-            )
+            first_index[length] = index
+            index += counts[length]
         self._first_code = first_code
         self._first_index = first_index
         self._ordered_symbols = ordered
@@ -146,24 +147,29 @@ class HuffmanTable:
         bit-serial canonical walk decodes instead, so the result and
         every error are exactly the walk's.
         """
-        lookup = self._lookup
-        if lookup is None:
-            lookup = self._build_lookup()
-        symbol = reader.read_prefix(lookup, self._lookup_bits)
+        symbol = reader.read_prefix(*self.decoder())
         if symbol >= 0:
             return symbol
         return self._decode_serial(reader)
 
-    def _build_lookup(self) -> list[int]:
-        """Entry ``symbol << 4 | length`` at every index the code prefixes."""
+    def decoder(self) -> tuple[list[int], int]:
+        """``(lookup, width)`` for :meth:`BitReader.read_prefix`.
+
+        Built on first use: entry ``symbol << 4 | length`` at every
+        ``width``-bit index whose low bits carry that symbol's code.
+        Hot loops call ``read_prefix`` directly and fall back to
+        :meth:`decode_symbol` when it returns -1.
+        """
         width = self._lookup_bits
-        lookup = [0] * (1 << width)
-        for symbol, (code, length) in enumerate(self.reversed_codes):
-            if length:
-                lookup[code::1 << length] = (
-                    [symbol << 4 | length] * (1 << (width - length)))
-        self._lookup = lookup
-        return lookup
+        lookup = self._lookup
+        if lookup is None:
+            lookup = [0] * (1 << width)
+            for symbol, (code, length) in enumerate(self.reversed_codes):
+                if length:
+                    lookup[code::1 << length] = (
+                        [symbol << 4 | length] * (1 << (width - length)))
+            self._lookup = lookup
+        return lookup, width
 
     def _decode_serial(self, reader: BitReader) -> int:
         code = 0
@@ -412,4 +418,11 @@ def decode_block(
     reader = BitReader(payload)
     lengths = parse_lengths(reader)
     table = HuffmanTable(lengths, max_bits=max_bits)
-    return [table.decode_symbol(reader) for _ in range(count)]
+    lookup, width = table.decoder()
+    read_prefix = reader.read_prefix
+    symbols = []
+    for _ in range(count):
+        symbol = read_prefix(lookup, width)
+        symbols.append(symbol if symbol >= 0
+                       else table.decode_symbol(reader))
+    return symbols

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.hashtable import BoundedHashTable, hash_pair
-from repro.core.tokens import MIN_MATCH, Sequence, TokenStream
+from repro.core.tokens import MIN_MATCH, Sequence, TokenStream, copy_match
 from repro.errors import CompressionError, DecompressionError
 
 #: Register-backed recent-data buffer size in the decoder (paper §3.2.4).
@@ -235,10 +235,7 @@ class DpzipLz77Decoder:
             if seq.offset < seq.match_length:
                 # Overlapping copy: byte-at-a-time replication semantics.
                 self.stats.overlap_copies += 1
-                for i in range(seq.match_length):
-                    out.append(out[src + i])
-            else:
-                out += out[src:src + seq.match_length]
+            copy_match(out, seq.offset, seq.match_length)
             self.stats.match_bytes += seq.match_length
         if lit_pos != len(literals):
             raise DecompressionError("unconsumed literals after final sequence")

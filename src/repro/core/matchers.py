@@ -114,7 +114,9 @@ class ChainMatcher:
             best_len = 0
             best_off = 0
             chain = max_chain
-            limit = min(n - p, max_match)
+            limit = n - p
+            if limit > max_match:
+                limit = max_match
             while candidate >= 0 and chain > 0 and p - candidate <= window:
                 chain_steps += 1
                 chain -= 1
@@ -140,13 +142,26 @@ class ChainMatcher:
 
         while pos < n:
             positions += 1
-            length, offset = find(pos)
-            if length == 0:
-                if pos < hashed:
-                    bucket = buckets[pos]
+            if pos < hashed:
+                bucket = buckets[pos]
+                candidate = head[bucket]
+                # ``find`` walks no chain when the bucket holds nothing
+                # inside the window: skip the call, insert, move on.
+                if candidate < 0 or pos - candidate > window:
+                    prev[pos] = candidate
+                    head[bucket] = pos
+                    hash_inserts += 1
+                    pos += 1
+                    continue
+                length, offset = find(pos)
+                if length == 0:
                     prev[pos] = head[bucket]
                     head[bucket] = pos
                     hash_inserts += 1
+                    pos += 1
+                    continue
+            else:
+                # No word left to hash: the tail is literals.
                 pos += 1
                 continue
             if cfg.lazy and pos + 1 < n:
@@ -169,11 +184,15 @@ class ChainMatcher:
             matches += 1
             matched_bytes += length
             literal_count += literal_len
-            for q in range(start, min(pos + length, hashed)):
+            end = pos + length
+            if end > hashed:
+                end = hashed
+            for q in range(start, end):
                 bucket = buckets[q]
                 prev[q] = head[bucket]
                 head[bucket] = q
-            hash_inserts += max(min(pos + length, hashed) - start, 0)
+            if end > start:
+                hash_inserts += end - start
             pos += length
             lit_start = pos
         if lit_start < n:

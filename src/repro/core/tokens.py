@@ -86,6 +86,20 @@ class TokenStream:
             position += seq.match_length
 
 
+def copy_match(out: bytearray, offset: int, length: int) -> None:
+    """Append ``length`` bytes copied from ``offset`` bytes back.
+
+    An overlapping copy (``offset < length``) has LZ77's byte-at-a-time
+    result: the last ``offset`` bytes repeat.  The caller checks that
+    ``offset`` stays within ``out``.
+    """
+    src = len(out) - offset
+    if offset >= length:
+        out += out[src:src + length]
+    else:
+        out += (out[src:] * (length // offset + 1))[:length]
+
+
 def reconstruct(stream: TokenStream) -> bytes:
     """Decode a token stream back into the original bytes.
 
@@ -107,8 +121,7 @@ def reconstruct(stream: TokenStream) -> bytes:
                 raise DecompressionError(
                     f"offset {seq.offset} reaches before output start"
                 )
-            for i in range(seq.match_length):
-                out.append(out[src + i])
+            copy_match(out, seq.offset, seq.match_length)
     if lit_pos != len(stream.literals):
         raise DecompressionError(
             f"{len(stream.literals) - lit_pos} literals left undecoded"

@@ -5,13 +5,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hashtable import BoundedHashTable, hash_pair, hash_word
+from repro.core.hashtable import (
+    BoundedHashTable,
+    hash_pair,
+    hash_word,
+    hash_words,
+)
 from repro.core.lz77 import (
     DpzipLz77Decoder,
     DpzipLz77Encoder,
     RECENT_BUFFER_BYTES,
 )
-from repro.core.tokens import Sequence, TokenStream, reconstruct
+from repro.core.tokens import Sequence, TokenStream, copy_match, reconstruct
 from repro.errors import CompressionError
 
 
@@ -27,6 +32,24 @@ class TestHashTable:
             == hash_pair(w * 2654435761 % (1 << 32), 12)[1]
         )
         assert collisions < 50
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 6, 7, 8, 9, 64, 1001])
+    def test_hash_words_hashes_every_position(self, size):
+        data = random.Random(size).randbytes(size)
+        assert hash_words(data, 14) == [
+            hash_word(int.from_bytes(data[p:p + 4], "little"), 14)
+            for p in range(size - 3)]
+
+    def test_reset_keeps_counters_and_order_fresh(self):
+        table = BoundedHashTable(index_bits=4, ways=2)
+        for pos in (1, 2, 3):
+            table.insert(7, pos)
+        table.reset()
+        assert (table.stats.inserts, table.stats.evictions) == (0, 0)
+        for pos in (4, 5, 6):
+            table.insert(7, pos)
+        assert table.candidates(7) == [6, 5]
+        assert table.stats.evictions == 1
 
     def test_fifo_eviction(self):
         table = BoundedHashTable(index_bits=4, ways=2)
@@ -74,6 +97,19 @@ class TestTokenStream:
     def test_overlapping_copy_replicates(self):
         stream = TokenStream(b"ab", [Sequence(2, 6, 2)])
         assert reconstruct(stream) == b"abababab"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(min_size=1, max_size=40), st.data())
+    def test_copy_match_is_byte_at_a_time(self, history, data):
+        offset = data.draw(st.integers(1, len(history)))
+        length = data.draw(st.integers(0, 100))
+        expected = bytearray(history)
+        src = len(expected) - offset
+        for i in range(length):
+            expected.append(expected[src + i])
+        out = bytearray(history)
+        copy_match(out, offset, length)
+        assert out == expected
 
     def test_stream_validate_offset_bounds(self):
         stream = TokenStream(b"ab", [Sequence(2, 4, 10)])
