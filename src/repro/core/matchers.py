@@ -142,26 +142,20 @@ class ChainMatcher:
 
         while pos < n:
             positions += 1
-            if pos < hashed:
-                bucket = buckets[pos]
-                candidate = head[bucket]
-                # ``find`` walks no chain when the bucket holds nothing
-                # inside the window: skip the call, insert, move on.
-                if candidate < 0 or pos - candidate > window:
-                    prev[pos] = candidate
-                    head[bucket] = pos
-                    hash_inserts += 1
-                    pos += 1
-                    continue
+            if pos >= hashed:
+                pos += 1  # no word left to hash: the tail is literals
+                continue
+            bucket = buckets[pos]
+            candidate = head[bucket]
+            length = 0
+            # ``find`` walks no chain when the bucket holds nothing
+            # inside the window, so only call it when one does.
+            if candidate >= 0 and pos - candidate <= window:
                 length, offset = find(pos)
-                if length == 0:
-                    prev[pos] = head[bucket]
-                    head[bucket] = pos
-                    hash_inserts += 1
-                    pos += 1
-                    continue
-            else:
-                # No word left to hash: the tail is literals.
+            if length == 0:
+                prev[pos] = candidate
+                head[bucket] = pos
+                hash_inserts += 1
                 pos += 1
                 continue
             if cfg.lazy and pos + 1 < n:

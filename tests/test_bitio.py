@@ -102,6 +102,25 @@ class TestBitReader:
         with pytest.raises(BitstreamError):
             reader.skip(4)
 
+    def test_read_prefix_consumes_the_entry_length(self):
+        # 2-bit table: index 0b01 holds value 9 with a 1-bit code.
+        table = [0, 9 << 4 | 1, 0, 0]
+        reader = BitReader(b"\x05")  # bits 1, 0, 1, 0, ...
+        assert reader.read_prefix(table, 2) == 9
+        assert reader.bits_consumed == 1
+
+    def test_read_prefix_leaves_stream_on_miss(self):
+        table = [0, 0, 0, 0]
+        reader = BitReader(b"\xa5")
+        assert reader.read_prefix(table, 2) == -1
+        assert reader.read(8) == 0xA5
+        # Fewer bits left than the width: -1, nothing consumed.
+        reader = BitReader(b"\x01")
+        reader.read(3)
+        assert reader.read_prefix([1 << 4 | 1] * 64, 6) == -1
+        assert reader.bits_consumed == 3
+        assert reader.read(5) == 0
+
     def test_align_drops_partial_byte(self):
         reader = BitReader(b"\xff\x0f")
         reader.read(3)
