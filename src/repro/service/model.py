@@ -23,7 +23,8 @@ Calibration is one measurement pass per device over every requested op
 compressed once, the decompress fit decompresses that same payload, and
 each op's model is fitted from its own results alone — so it is
 identical whether the op is calibrated alone or alongside the other.
-The codecs are pure Python, so this pass is most of a cold start.
+The codecs are pure Python, so this pass is the costly part of building
+a cluster.
 """
 
 from __future__ import annotations
