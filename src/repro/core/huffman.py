@@ -60,11 +60,11 @@ class CanonizerReport:
 class HuffmanTable:
     """Canonical Huffman code table.
 
-    ``lengths[symbol]`` is zero for absent symbols.  ``codes[symbol]`` is
-    ``(code, length)`` with the code in canonical MSB-first orientation;
-    ``reversed_codes[symbol]`` holds the same code bit-reversed, as the
-    LSB-first bitstream carries it so it decodes MSB-first (the DEFLATE
-    convention).  Both are fixed when the table is built.
+    ``lengths[symbol]`` is zero for absent symbols.
+    ``reversed_codes[symbol]`` is ``(code, length)`` with the canonical
+    MSB-first code bit-reversed, as the LSB-first bitstream carries it
+    so it decodes MSB-first (the DEFLATE convention); fixed when the
+    table is built.
     """
 
     lengths: list[int]
@@ -94,15 +94,12 @@ class HuffmanTable:
         for length in range(1, self.max_bits + 1):
             code = (code + counts[length - 1]) << 1
             next_code[length] = code
-        codes: list[tuple[int, int]] = [(0, 0)] * len(lengths)
         reversed_codes: list[tuple[int, int]] = [(0, 0)] * len(lengths)
         for symbol, length in enumerate(lengths):
             if length:
-                codes[symbol] = (next_code[length], length)
                 reversed_codes[symbol] = (
                     _reverse_bits(next_code[length], length), length)
                 next_code[length] += 1
-        self.codes = codes
         self.reversed_codes = reversed_codes
         # Peek-width decode table, built on the first decode.
         self._lookup: list[int] | None = None
