@@ -16,6 +16,7 @@ from repro.core.blockformat import (
 )
 from repro.core.deflate import DeflateCodec
 from repro.core.dpzip_codec import DpzipCodec, reference_roundtrip
+from repro.core.lz77 import DpzipLz77Encoder
 from repro.core.lz4 import Lz4Codec
 from repro.core.matchers import (
     LEVEL_PRESETS,
@@ -180,7 +181,7 @@ class TestDecodeEdges:
     def test_truncated_dpzip_literals_raise_bitstream_error(self):
         page = bytes(random.Random(3).choices(b"etaoin shrdlu", k=4096))
         frame, stats = blockformat.encode_frame(
-            page, DpzipCodec()._encoder.encode(page))
+            page, DpzipLz77Encoder().encode(page))
         assert stats.literal_mode == "huffman"
         # Cut the Huffman literal payload short and re-frame it.
         pos = 1
