@@ -80,6 +80,7 @@ class LintConfig:
     )
     #: Modules holding strict ``from_dict`` deserializers (SPEC001).
     spec_modules: tuple[str, ...] = (
+        "speccodec.py",
         "cluster/spec.py",
         "sweep/spec.py",
         "telemetry/analysis.py",

@@ -8,11 +8,13 @@ free function at a time: the same stack, now written down once and
 buildable from JSON (``repro-experiment cluster --spec cluster.json``).
 
 Every spec type round-trips losslessly through ``to_dict`` /
-``from_dict`` (and therefore JSON); deserialization is *strict* —
-an unknown key raises :class:`~repro.errors.ClusterSpecError` naming
-the offending key instead of being silently dropped, because a typo'd
-knob that silently reverts to its default is a misconfiguration the
-experiment sweep will never notice.
+``from_dict`` (and therefore JSON).  Decoding is the strict,
+type-hint-driven codec of :mod:`repro.speccodec`: an unknown key, a
+missing required key or a wrong-typed value raises
+:class:`~repro.errors.ClusterSpecError` naming the dotted path of the
+offending field, because a typo'd knob that silently reverts to its
+default is a misconfiguration the experiment sweep will never notice.
+Range and cross-field checks live in each class's ``__post_init__``.
 
 The spec layer is deliberately free of simulator state: building the
 live objects (devices, scheduler, store, controller) from a spec is
@@ -22,13 +24,13 @@ live objects (devices, scheduler, store, controller) from a spec is
 from __future__ import annotations
 
 import copy
-import json
-import math
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ClusterSpecError
+from repro.speccodec import Spec
+from repro.telemetry.analysis import SloObjective
 
 #: Device kinds a :class:`DeviceSpec` may name — one per placement
 #: column of the paper's Figure 1 (the session layer maps each to its
@@ -42,57 +44,9 @@ CALIBRATED_OPS = ("compress", "decompress")
 RECONFIG_ACTIONS = ("brown-out", "restore", "unplug", "power-cap")
 
 
-def _check_keys(cls: type, data: dict,
-                error: type[Exception] = ClusterSpecError) -> None:
-    """Reject unknown keys loudly instead of silently dropping them.
-
-    ``error`` lets other spec layers (federation) reuse the contract
-    while raising their own hierarchy.
-    """
-    if not isinstance(data, dict):
-        raise error(
-            f"{cls.__name__} expects a mapping, got {type(data).__name__}"
-        )
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise error(
-            f"unknown key(s) {unknown} for {cls.__name__}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def _number(data: dict, key: str, default: Any, where: str, *,
-            integer: bool = False, optional: bool = False) -> Any:
-    """``data[key]`` (``default`` if absent), rejected with a
-    :class:`ClusterSpecError` naming ``where`` unless it is a number
-    (an integer if ``integer``; ``None`` too if ``optional``).  A bool
-    is never a number here."""
-    value = data.get(key, default)
-    if value is None and optional:
-        return value
-    if isinstance(value, bool) or not isinstance(
-            value, int if integer else (int, float)):
-        expected = "an integer" if integer else "a number"
-        raise ClusterSpecError(
-            f"{where} must be {expected}{' or null' if optional else ''}, "
-            f"got {value!r}"
-        )
-    return value
-
-
-def to_jsonable(value: Any) -> Any:
-    """Recursively convert spec values into JSON-serializable shapes
-    (dataclasses become dicts, tuples become lists, dict values are
-    converted in place — override mappings may carry spec objects)."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [to_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: to_jsonable(item) for key, item in value.items()}
-    return value
+class _Spec(Spec):
+    __slots__ = ()
+    error = ClusterSpecError
 
 
 # -- dotted-path overrides -----------------------------------------------------
@@ -215,7 +169,7 @@ def _join_steps(steps: list[str | int]) -> str:
 
 
 @dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(_Spec):
     """One fleet member, named by device kind.
 
     ``name`` overrides the device's default name — required when a
@@ -246,19 +200,9 @@ class DeviceSpec:
         """Calibration-cache key: everything that affects device timing."""
         return (self.kind, self.algorithm, self.threads)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeviceSpec":
-        _check_keys(cls, data)
-        return cls(
-            kind=data.get("kind", ""),
-            name=data.get("name"),
-            algorithm=data.get("algorithm", "deflate"),
-            threads=data.get("threads"),
-        )
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(_Spec):
     """Fleet composition plus the shared submission-path knobs."""
 
     devices: tuple[DeviceSpec, ...]
@@ -291,36 +235,9 @@ class FleetSpec:
                 f"choose from {list(CALIBRATED_OPS)}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetSpec":
-        _check_keys(cls, data)
-        devices = data.get("devices", ())
-        if not isinstance(devices, (list, tuple)):
-            raise ClusterSpecError(
-                f"fleet.devices must be a list of device specs, "
-                f"got {devices!r}"
-            )
-        return cls(
-            devices=tuple(DeviceSpec.from_dict(entry) for entry in devices),
-            spill=(DeviceSpec.from_dict(data["spill"])
-                   if data.get("spill") is not None else None),
-            batch_size=_number(data, "batch_size", 4, "fleet.batch_size",
-                               integer=True),
-            batch_timeout_ns=_number(data, "batch_timeout_ns", 20_000.0,
-                                     "fleet.batch_timeout_ns",
-                                     optional=True),
-            queue_limit=_number(data, "queue_limit", None,
-                                "fleet.queue_limit", integer=True,
-                                optional=True),
-            fair_share_tenants=_number(data, "fair_share_tenants", None,
-                                       "fleet.fair_share_tenants",
-                                       integer=True, optional=True),
-            ops=tuple(data.get("ops", ("compress",))),
-        )
-
 
 @dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(_Spec):
     """Admission-control thresholds and EWMA smoothing."""
 
     spill_threshold: float = 0.70
@@ -338,18 +255,9 @@ class AdmissionSpec:
                 f"ewma_alpha {self.ewma_alpha} outside (0, 1]"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdmissionSpec":
-        _check_keys(cls, data)
-        return cls(
-            spill_threshold=data.get("spill_threshold", 0.70),
-            shed_threshold=data.get("shed_threshold", 0.95),
-            ewma_alpha=data.get("ewma_alpha", 1.0),
-        )
-
 
 @dataclass(frozen=True)
-class SloSpec:
+class SloSpec(_Spec):
     """One SLO class: priority tier plus relative deadline budget.
 
     ``deadline_ns`` may be ``inf`` (scavenger traffic with no deadline);
@@ -388,21 +296,17 @@ class SloSpec:
                         deadline_ns=self.deadline_ns)
 
     @classmethod
-    def from_dict(cls, data: dict | str) -> "SloSpec":
-        # A bare string names one of the standard classes — the short
-        # form for hand-written JSON specs.
-        if isinstance(data, str):
-            return cls.of(data)
-        _check_keys(cls, data)
-        return cls(
-            name=data.get("name", ""),
-            tier=data.get("tier", 0),
-            deadline_ns=data.get("deadline_ns", math.inf),
-        )
+    def _named(cls) -> dict[str, "SloSpec"]:
+        """The standard classes a document may name with a bare string
+        (``"read_slo": "interactive"``), the short form for hand-written
+        specs."""
+        from repro.service.request import SLO_CLASSES
+        return {name: cls.from_class(slo)
+                for name, slo in SLO_CLASSES.items()}
 
 
 @dataclass(frozen=True)
-class SloShare:
+class SloShare(_Spec):
     """One weighted entry of an SLO mix."""
 
     slo: SloSpec
@@ -414,17 +318,9 @@ class SloShare:
                 f"SLO-mix weight must be > 0, got {self.weight}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloShare":
-        _check_keys(cls, data)
-        if "slo" not in data:
-            raise ClusterSpecError("SLO-mix entry needs an 'slo' key")
-        return cls(slo=SloSpec.from_dict(data["slo"]),
-                   weight=data.get("weight", 1.0))
-
 
 @dataclass(frozen=True)
-class StoreSpec:
+class StoreSpec(_Spec):
     """Block-store geometry plus decompressed-block cache sizing.
 
     ``client_window``/``client_think_ns`` declare closed-loop store
@@ -473,36 +369,9 @@ class StoreSpec:
                 f"got {self.client_think_ns}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StoreSpec":
-        _check_keys(cls, data)
-        spec = cls()
-        return cls(
-            block_bytes=_number(data, "block_bytes", spec.block_bytes,
-                                "store.block_bytes", integer=True),
-            segment_bytes=_number(data, "segment_bytes", None,
-                                  "store.segment_bytes", integer=True,
-                                  optional=True),
-            cache_blocks=_number(data, "cache_blocks", spec.cache_blocks,
-                                 "store.cache_blocks", integer=True),
-            ghost_blocks=_number(data, "ghost_blocks", None,
-                                 "store.ghost_blocks", integer=True,
-                                 optional=True),
-            read_slo=(SloSpec.from_dict(data["read_slo"])
-                      if "read_slo" in data else spec.read_slo),
-            write_slo=(SloSpec.from_dict(data["write_slo"])
-                       if "write_slo" in data else spec.write_slo),
-            client_window=_number(data, "client_window", None,
-                                  "store.client_window", integer=True,
-                                  optional=True),
-            client_think_ns=_number(data, "client_think_ns",
-                                    spec.client_think_ns,
-                                    "store.client_think_ns"),
-        )
-
 
 @dataclass(frozen=True)
-class ReconfigEvent:
+class ReconfigEvent(_Spec):
     """One scheduled fleet-reconfiguration action.
 
     ``action`` is one of :data:`RECONFIG_ACTIONS`; ``device`` names the
@@ -543,21 +412,9 @@ class ReconfigEvent:
                 f"brown-out speed factor {self.speed_factor} outside (0, 1]"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReconfigEvent":
-        _check_keys(cls, data)
-        return cls(
-            at_ns=data.get("at_ns", 0.0),
-            action=data.get("action", ""),
-            device=data.get("device"),
-            speed_factor=data.get("speed_factor", 1.0),
-            drain=data.get("drain", True),
-            budget_w=data.get("budget_w"),
-        )
-
 
 @dataclass(frozen=True)
-class TelemetrySpec:
+class TelemetrySpec(_Spec):
     """What a cluster run records — and monitors — about itself.
 
     ``trace`` turns on per-request span recording into a bounded
@@ -577,7 +434,7 @@ class TelemetrySpec:
     trace: bool = False
     trace_capacity: int = 262_144
     metrics_interval_ns: float | None = None
-    objectives: tuple = ()
+    objectives: tuple[SloObjective, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objectives", tuple(self.objectives))
@@ -603,21 +460,9 @@ class TelemetrySpec:
     def enabled(self) -> bool:
         return self.trace or self.metrics_interval_ns is not None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TelemetrySpec":
-        from repro.telemetry.analysis import SloObjective
-        _check_keys(cls, data)
-        return cls(
-            trace=data.get("trace", False),
-            trace_capacity=data.get("trace_capacity", 262_144),
-            metrics_interval_ns=data.get("metrics_interval_ns"),
-            objectives=tuple(SloObjective.from_dict(entry)
-                             for entry in data.get("objectives", ())),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(_Spec):
     """The whole cluster, declaratively.
 
     ``slo_mix`` is the default mix clients built from keyword arguments
@@ -658,12 +503,6 @@ class ClusterSpec:
                 f"power budget must be > 0, got {self.power_budget_w}"
             )
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-shaped dict (tuples become lists, specs become dicts)."""
-        return to_jsonable(self)
-
     def with_overrides(self, overrides: dict[str, Any]) -> "ClusterSpec":
         """A copy with dotted-path ``overrides`` applied and re-validated.
 
@@ -675,44 +514,6 @@ class ClusterSpec:
         for path, value in overrides.items():
             apply_override(data, path, value)
         return ClusterSpec.from_dict(data)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterSpec":
-        _check_keys(cls, data)
-        if "fleet" not in data:
-            raise ClusterSpecError("cluster spec needs a 'fleet' section")
-        return cls(
-            fleet=FleetSpec.from_dict(data["fleet"]),
-            policy=data.get("policy", "cost-model"),
-            admission=(AdmissionSpec.from_dict(data["admission"])
-                       if data.get("admission") is not None else None),
-            pending_limit=_number(data, "pending_limit", None,
-                                  "pending_limit", integer=True,
-                                  optional=True),
-            slo_mix=(tuple(SloShare.from_dict(entry)
-                           for entry in data["slo_mix"])
-                     if data.get("slo_mix") is not None else None),
-            store=(StoreSpec.from_dict(data["store"])
-                   if data.get("store") is not None else None),
-            power_budget_w=_number(data, "power_budget_w", None,
-                                   "power_budget_w", optional=True),
-            reconfig=tuple(ReconfigEvent.from_dict(entry)
-                           for entry in data.get("reconfig", ())),
-            telemetry=(TelemetrySpec.from_dict(data["telemetry"])
-                       if data.get("telemetry") is not None else None),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClusterSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ClusterSpecError(f"cluster spec is not valid JSON: "
-                                   f"{error}") from error
-        return cls.from_dict(data)
 
 
 def default_cluster_spec(policy: str = "cost-model",

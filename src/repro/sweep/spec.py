@@ -32,20 +32,15 @@ module.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster.spec import (
-    ClusterSpec,
-    _check_keys,
-    apply_override,
-    to_jsonable,
-)
-from repro.errors import ClusterSpecError, SweepSpecError, WorkloadError
+from repro.cluster.spec import ClusterSpec, apply_override
+from repro.errors import ClusterSpecError, ReproError, SweepSpecError
+from repro.speccodec import Spec, to_jsonable
 from repro.workloads.population import DiurnalSpec, TenantPopulationSpec
 
 #: Traffic shapes a :class:`WorkloadSpec` may declare.
@@ -58,8 +53,15 @@ RESERVED_COLUMNS = ("point", "spec_hash", "seed")
 _LABEL_TYPES = (str, int, float, bool)
 
 
+class _Spec(Spec):
+    # Malformed sweep documents raise the cluster layer's error; range
+    # checks and grids that do not resolve raise SweepSpecError.
+    __slots__ = ()
+    error = ClusterSpecError
+
+
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Spec):
     """What traffic drives one cluster run.
 
     ``mode`` picks the client shape (``open-loop`` Poisson stream,
@@ -140,29 +142,9 @@ class WorkloadSpec:
                 f"open-loop workloads only; mode is {self.mode!r}"
             )
 
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        _check_keys(cls, data)
-        defaults = cls()
-        kwargs = {f.name: data.get(f.name, getattr(defaults, f.name))
-                  for f in dataclasses.fields(cls)}
-        try:
-            if isinstance(kwargs["population"], dict):
-                kwargs["population"] = \
-                    TenantPopulationSpec.from_dict(kwargs["population"])
-            if isinstance(kwargs["diurnal"], dict):
-                kwargs["diurnal"] = \
-                    DiurnalSpec.from_dict(kwargs["diurnal"])
-        except WorkloadError as error:
-            raise SweepSpecError(str(error)) from error
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class AxisPoint:
+class AxisPoint(_Spec):
     """One labelled point of an axis: a set of dotted-path overrides.
 
     Override values are normalized to JSON shapes at construction
@@ -193,18 +175,9 @@ class AxisPoint:
                 )
         object.__setattr__(self, "overrides", to_jsonable(self.overrides))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AxisPoint":
-        _check_keys(cls, data)
-        if "label" not in data or "overrides" not in data:
-            raise SweepSpecError(
-                "axis point needs 'label' and 'overrides' keys"
-            )
-        return cls(label=data["label"], overrides=dict(data["overrides"]))
-
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_Spec):
     """One named sweep dimension: an ordered list of labelled points.
 
     Build one with :meth:`over` (one dotted path, one point per value),
@@ -290,20 +263,9 @@ class SweepAxis:
             AxisPoint(label=label, overrides=dict(zip(paths, row)))
             for label, row in zip(labels, rows)))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepAxis":
-        _check_keys(cls, data)
-        if "name" not in data:
-            raise SweepSpecError("axis needs a 'name' key")
-        return cls(
-            name=data["name"],
-            points=tuple(AxisPoint.from_dict(entry)
-                         for entry in data.get("points", ())),
-        )
-
 
 @dataclass(frozen=True)
-class SweepFilter:
+class SweepFilter(_Spec):
     """Excludes grid points whose coordinates match ``when``.
 
     ``when`` maps axis names to a label or a list of labels; a point
@@ -328,13 +290,6 @@ class SweepFilter:
             elif value != selector:
                 return False
         return True
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepFilter":
-        _check_keys(cls, data)
-        if "when" not in data:
-            raise SweepSpecError("filter needs a 'when' key")
-        return cls(when=dict(data["when"]))
 
 
 @dataclass(frozen=True)
@@ -370,7 +325,7 @@ def document_hash(document: dict) -> str:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Spec):
     """A whole experiment, declaratively: base document, axes, filters.
 
     ``root_seed`` anchors every point's stream seed (see
@@ -481,7 +436,7 @@ class SweepSpec:
             try:
                 workload = WorkloadSpec.from_dict(workload_data)
                 cluster = ClusterSpec.from_dict(document)
-            except (ClusterSpecError, SweepSpecError) as error:
+            except ReproError as error:
                 raise SweepSpecError(
                     f"sweep point {coords} resolves to an invalid "
                     f"spec: {error}"
@@ -502,41 +457,10 @@ class SweepSpec:
             ))
         return tuple(points)
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster": self.cluster.to_dict(),
-            "workload": self.workload.to_dict(),
-            "axes": to_jsonable(self.axes),
-            "filters": to_jsonable(self.filters),
-            "root_seed": self.root_seed,
-            "replicates": self.replicates,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        _check_keys(cls, data)
-        if "cluster" not in data:
-            raise SweepSpecError("sweep spec needs a 'cluster' section")
-        return cls(
-            cluster=ClusterSpec.from_dict(data["cluster"]),
-            workload=(WorkloadSpec.from_dict(data["workload"])
-                      if data.get("workload") is not None
-                      else WorkloadSpec()),
-            axes=tuple(SweepAxis.from_dict(entry)
-                       for entry in data.get("axes", ())),
-            filters=tuple(SweepFilter.from_dict(entry)
-                          for entry in data.get("filters", ())),
-            root_seed=data.get("root_seed", 1234),
-            replicates=data.get("replicates", 1),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
+        # Text that is not JSON at all is a sweep error; the sections
+        # of a parsed document raise the cluster layer's error.
         try:
             data = json.loads(text)
         except json.JSONDecodeError as error:

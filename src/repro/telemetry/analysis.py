@@ -26,10 +26,11 @@ and metrics artifacts themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import TelemetryError
+from repro.speccodec import Spec
 
 #: Objective senses: "max" bounds the column from above (miss rate,
 #: shed rate, power draw), "min" from below (cache hit rate).
@@ -60,23 +61,13 @@ CACHE_COLLAPSE_FRACTION = 0.5
 CACHE_COLLAPSE_MIN_PEAK = 0.2
 
 
-def _check_keys(cls: type, data: dict) -> None:
-    """Strict deserialization, mirroring the cluster-spec discipline."""
-    if not isinstance(data, dict):
-        raise TelemetryError(
-            f"{cls.__name__} expects a mapping, got {type(data).__name__}"
-        )
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise TelemetryError(
-            f"unknown key(s) {unknown} for {cls.__name__}; "
-            f"allowed: {sorted(allowed)}"
-        )
+class _Spec(Spec):
+    __slots__ = ()
+    error = TelemetryError
 
 
 @dataclass(frozen=True, slots=True)
-class SloObjective:
+class SloObjective(_Spec):
     """One declarative objective over a telemetry column.
 
     ``column`` names a metrics-row column (``miss_interactive``,
@@ -139,20 +130,6 @@ class SloObjective:
         else:
             text += " (whole run)"
         return text
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloObjective":
-        _check_keys(cls, data)
-        return cls(
-            name=data.get("name", ""),
-            column=data.get("column", ""),
-            limit=data.get("limit", 0.0),
-            sense=data.get("sense", "max"),
-            budget=data.get("budget", 0.01),
-            scope=data.get("scope", "series"),
-            source=data.get("source", "declared"),
-            description=data.get("description", ""),
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.service.request import BEST_EFFORT, OffloadRequest, OpenLoopStream
+from repro.speccodec import Spec
 
 __all__ = [
     "DiurnalSpec",
@@ -51,25 +52,14 @@ __all__ = [
 POPULATION_DISTRIBUTIONS = ("pareto", "lognormal")
 
 
-def _check_keys(cls: type, data: dict) -> None:
-    """Reject unknown keys loudly (same contract as the spec layer,
-    raising :class:`WorkloadError` because populations are traffic
-    parameters, not cluster topology)."""
-    if not isinstance(data, dict):
-        raise WorkloadError(
-            f"{cls.__name__} expects a mapping, got {type(data).__name__}"
-        )
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise WorkloadError(
-            f"unknown key(s) {unknown} for {cls.__name__}; "
-            f"allowed: {sorted(allowed)}"
-        )
+class _Spec(Spec):
+    # Populations are traffic parameters, not cluster topology.
+    __slots__ = ()
+    error = WorkloadError
 
 
 @dataclass(frozen=True, slots=True)
-class TenantPopulationSpec:
+class TenantPopulationSpec(_Spec):
     """A skewed tenant popularity law, declaratively.
 
     ``tenants`` is the population size; each tenant gets an i.i.d.
@@ -108,13 +98,6 @@ class TenantPopulationSpec:
             raise WorkloadError(
                 f"lognormal sigma must be > 0, got {self.sigma}"
             )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantPopulationSpec":
-        _check_keys(cls, data)
-        defaults = cls()
-        return cls(**{f.name: data.get(f.name, getattr(defaults, f.name))
-                      for f in fields(cls)})
 
 
 class TenantPopulation:
@@ -193,7 +176,7 @@ def realize_population(spec: TenantPopulationSpec) -> TenantPopulation:
 
 
 @dataclass(frozen=True, slots=True)
-class DiurnalSpec:
+class DiurnalSpec(_Spec):
     """Sinusoidal arrival-rate modulation over simulated time.
 
     The instantaneous rate factor is::
@@ -228,13 +211,6 @@ class DiurnalSpec:
         """Instantaneous rate multiplier at virtual time ``t_ns``."""
         return 1.0 + self.amplitude * math.sin(
             2.0 * math.pi * (t_ns / self.period_ns + self.phase))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiurnalSpec":
-        _check_keys(cls, data)
-        defaults = cls()
-        return cls(**{f.name: data.get(f.name, getattr(defaults, f.name))
-                      for f in fields(cls)})
 
 
 @dataclass(slots=True)

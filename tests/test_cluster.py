@@ -151,6 +151,7 @@ class TestSpecValidation:
         ("store", "cache_blocks", 1.5),
         ("store", "ghost_blocks", "8"),
         ("store", "client_think_ns", None),
+        ("store", "read_slo", "nope"),
     ])
     def test_malformed_field_names_the_field(self, section, key, value):
         data = rich_spec().to_dict()

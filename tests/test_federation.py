@@ -20,6 +20,7 @@ from multiprocessing.connection import (
     Connection,
     Listener,
 )
+from pathlib import Path
 from queue import SimpleQueue
 
 import pytest
@@ -128,6 +129,13 @@ class TestFederationSpec:
         assert FederationSpec.from_json(spec.to_json()) == spec
         assert len(spec.members) >= 3
         assert spec.workload.population.tenants >= 100_000
+
+    def test_checked_in_example_is_the_built_in_spec(self):
+        path = Path(__file__).resolve().parent.parent / "examples" \
+            / "federation.json"
+        text = path.read_text(encoding="utf-8")
+        assert text == example_federation_spec().to_json() + "\n"
+        assert FederationSpec.from_json(text).to_json() + "\n" == text
 
     def test_unknown_top_level_key_rejected(self):
         data = cheap_federation().to_dict()

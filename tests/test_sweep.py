@@ -10,6 +10,7 @@ cached process-wide, so the cost is paid once per test session).
 import json
 import math
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,21 @@ class TestGridExpansion:
         assert [p.spec_hash for p in again] \
             == [p.spec_hash for p in points]
 
+    @pytest.mark.parametrize("path, value", [
+        ("telemetry", {"objectives": [{"name": "o", "column": "x",
+                                       "limit": 1.0, "budget": 0.0}]}),
+        ("store", {"read_slo": "nope"}),
+        ("fleet.devices[0].threads", "x"),
+    ])
+    def test_every_invalid_point_names_the_point(self, path, value):
+        spec = cheap_sweep(axes=(
+            SweepAxis("bad", (AxisPoint(label="x",
+                                        overrides={path: value}),)),
+        ))
+        with pytest.raises(SweepSpecError, match=r"^sweep point "
+                           r"\{'bad': 'x'\} resolves to an invalid spec"):
+            spec.expand()
+
     def test_store_mode_requires_a_store_section(self):
         spec = SweepSpec(cluster=CHEAP_CLUSTER,
                          workload=WorkloadSpec(mode="store",
@@ -300,6 +316,20 @@ class TestSerialization:
         assert SweepSpec.from_json(spec.to_json()) == spec
         point = spec.expand()[0]
         assert [d.name for d in point.cluster.fleet.devices] == ["a", "b"]
+
+
+    def test_readme_sweep_document_expands(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("A worked `sweep.json`"):]
+        block = section[section.index("```json") + len("```json"):]
+        spec = SweepSpec.from_json(block[:block.index("```")])
+        points = spec.expand()
+        assert [point.coords for point in points] == [
+            {"read_frac": 0.5, "cache_blocks": 0},
+            {"read_frac": 0.9, "cache_blocks": 0},
+            {"read_frac": 0.9, "cache_blocks": 128},
+        ]
 
 
 class TestSpecHash:
