@@ -92,16 +92,23 @@ class DpzipLz77Encoder:
     def __post_init__(self) -> None:
         if self.group_size < 1:
             raise CompressionError("group_size must be >= 1")
-        self._table = BoundedHashTable(self.index_bits, self.ways)
+        # Built on first use: every encode starts from an empty table,
+        # so an encoder that never runs never allocates its buckets.
+        self._table: BoundedHashTable | None = None
 
     @property
     def table(self) -> BoundedHashTable:
+        if self._table is None:
+            self._table = BoundedHashTable(self.index_bits, self.ways)
         return self._table
 
     def encode(self, data: bytes) -> TokenStream:
         """Tokenize ``data``; each call is an independent block."""
         table = self._table
-        table.reset()
+        if table is None:
+            table = self.table
+        else:
+            table.reset()
         insert = table.insert
         index_bits = self.index_bits
         group_size = self.group_size

@@ -213,7 +213,8 @@ class OffloadService:
 
     def report(self, duration_ns: float | None = None) -> ServiceReport:
         metrics = self.metrics
-        summary = metrics.overall.summary_us()
+        log = metrics.log
+        summary = log.overall().summary_us()
         per_device = []
         for device in self.devices + (
                 [self.spill_device] if self.spill_device else []):
@@ -227,10 +228,11 @@ class OffloadService:
                 "batches": device.batches_submitted,
                 "engine_gbps": device.throughput.gbps(),
             })
+        by_slo = log.grouped(log.slo)
         slo_breakdown = []
         for name, stats in sorted(metrics.slo.items(),
                                   key=lambda kv: (kv[1].tier, kv[0])):
-            latency = metrics.by_slo.summary_us((name,))
+            latency = by_slo.summary_us((name,))
             slo_breakdown.append({
                 "slo": name,
                 "tier": stats.tier,
@@ -257,9 +259,9 @@ class OffloadService:
             p50_us=summary["p50_us"],
             p95_us=summary["p95_us"],
             p99_us=summary["p99_us"],
-            breakdown=metrics.by_tenant_placement.breakdown(
+            breakdown=log.grouped(log.tenant, log.placement).breakdown(
                 ("tenant", "placement")),
-            op_breakdown=metrics.by_op_placement.breakdown(
+            op_breakdown=log.grouped(log.op, log.placement).breakdown(
                 ("op", "placement")),
             slo_breakdown=slo_breakdown,
             per_device=per_device,

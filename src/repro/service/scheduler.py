@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,8 +82,45 @@ class SloStats:
 
 
 @dataclass(slots=True)
+class CompletionLog:
+    """Append-only columns, one row per completed request.
+
+    Rows are in completion order.  ``latency_ns`` is an ``array('d')``
+    and the other columns hold atomic values (tenant ids, placement,
+    op and SLO-class names), so a long run keeps a handful of
+    containers the cyclic GC never has to walk instead of one recorder
+    per key.  Breakdowns are grouped from the columns at report time
+    (:meth:`grouped`); each key's samples are the same values in the
+    same order as per-key recording gave, so every summary is
+    identical.
+    """
+
+    latency_ns: array = field(default_factory=lambda: array("d"))
+    tenant: list = field(default_factory=list)
+    placement: list[str] = field(default_factory=list)
+    op: list[str] = field(default_factory=list)
+    slo: list[str] = field(default_factory=list)
+
+    def overall(self) -> LatencyRecorder:
+        """Every completion's latency, in completion order."""
+        return LatencyRecorder(self.latency_ns.tolist())
+
+    def grouped(self, *columns: list) -> KeyedLatencyRecorder:
+        """Latencies keyed by the tuple of ``columns`` values per row,
+        e.g. ``log.grouped(log.tenant, log.placement)``."""
+        return KeyedLatencyRecorder.grouped(zip(*columns), self.latency_ns)
+
+
+@dataclass(slots=True)
 class ServiceMetrics:
-    """Counters and recorders accumulated over one service run."""
+    """Counters and the completion log accumulated over one service run.
+
+    The counters and the per-SLO-class :class:`SloStats` are live:
+    gauges sample them mid-run.  Latency is recorded once per
+    completion into :attr:`log`; the overall percentiles and the
+    (tenant, placement), (op, placement) and per-SLO-class breakdowns
+    are derived from it when the service reports.
+    """
 
     offered: int = 0
     completed: int = 0
@@ -94,17 +132,9 @@ class ServiceMetrics:
     #: Bytes completed inside the measurement window (backlog drained
     #: after arrivals stop must not inflate goodput).
     window_bytes: int = 0
-    overall: LatencyRecorder = field(default_factory=LatencyRecorder)
-    #: Keyed by (tenant, placement value) — the Figure 20 breakdown.
-    by_tenant_placement: KeyedLatencyRecorder = field(
-        default_factory=KeyedLatencyRecorder)
-    #: Keyed by (op, placement value) — where compress vs decompress
-    #: traffic actually landed (the read-path placement question).
-    by_op_placement: KeyedLatencyRecorder = field(
-        default_factory=KeyedLatencyRecorder)
-    #: Keyed by SLO-class name — the per-class latency distributions.
-    by_slo: KeyedLatencyRecorder = field(
-        default_factory=KeyedLatencyRecorder)
+    #: One row per completed request: latency, tenant, placement, op
+    #: and SLO class.
+    log: CompletionLog = field(default_factory=CompletionLog)
     #: Per-SLO-class deadline/shed counters, keyed by class name.
     slo: dict[str, SloStats] = field(default_factory=dict)
 
@@ -495,15 +525,18 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
         if (self.measure_until_ns is None
                 or self.sim.now <= self.measure_until_ns):
             metrics.window_bytes += request.nbytes
-        metrics.overall.record(latency_ns)
-        metrics.by_tenant_placement.record(
-            (request.tenant, device.placement.value), latency_ns)
-        metrics.by_op_placement.record(
-            (request.op, device.placement.value), latency_ns)
-        metrics.by_slo.record((request.slo.name,), latency_ns)
-        stats = metrics.slo_stats(request.slo)
+        if latency_ns < 0:
+            raise ValueError(f"negative latency {latency_ns}")
+        slo = request.slo
+        log = metrics.log
+        log.latency_ns.append(latency_ns)
+        log.tenant.append(request.tenant)
+        log.placement.append(device.placement.value)
+        log.op.append(request.op)
+        log.slo.append(slo.name)
+        stats = metrics.slo_stats(slo)
         stats.completed += 1
-        missed = latency_ns > request.slo.deadline_ns
+        missed = latency_ns > slo.deadline_ns
         if missed:
             stats.missed += 1
         tel = self.telemetry

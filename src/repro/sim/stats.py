@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 try:  # numpy is optional: summaries fall back to pure python
     import numpy as _np
@@ -131,6 +132,12 @@ class LatencyRecorder:
         if not samples:
             return {"count": 0, "mean_us": 0.0, "p50_us": 0.0,
                     "p95_us": 0.0, "p99_us": 0.0}
+        if len(samples) == 1:
+            # Every percentile of one sample is the sample; the mean
+            # keeps sum()'s integer start, so -0.0 reads 0.0 as before.
+            value = samples[0] / 1000.0
+            return {"count": 1, "mean_us": (0 + samples[0]) / 1000.0,
+                    "p50_us": value, "p95_us": value, "p99_us": value}
         ordered = _sorted_samples(samples)
         return {
             "count": len(samples),
@@ -139,6 +146,22 @@ class LatencyRecorder:
             "p95_us": _percentile_of_sorted(ordered, 0.95) / 1000.0,
             "p99_us": _percentile_of_sorted(ordered, 0.99) / 1000.0,
         }
+
+
+class _FieldSortKeys(dict):
+    """Sort key of each key-field value, built on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, value) -> tuple:
+        # Numbers order numerically and before strings, so tenant ids
+        # don't come out 0, 1, 10, 11, 2 once they reach two digits.
+        if isinstance(value, (int, float)):
+            key = (0, value, "")
+        else:
+            key = (1, 0, str(value))
+        self[value] = key
+        return key
 
 
 @dataclass(slots=True)
@@ -151,6 +174,25 @@ class KeyedLatencyRecorder:
     """
 
     _recorders: dict[tuple, LatencyRecorder] = field(default_factory=dict)
+
+    @classmethod
+    def grouped(cls, keys: Iterable[tuple],
+                latencies: Iterable[float]) -> "KeyedLatencyRecorder":
+        """Pair ``keys`` with ``latencies`` and group by key.
+
+        Each key's samples keep the order they arrive in, so summaries
+        equal those of recording the same pairs one by one (the values
+        are not checked again: the caller recorded them).
+        """
+        groups: dict[tuple, list[float]] = {}
+        for key, latency in zip(keys, latencies):
+            samples = groups.get(key)
+            if samples is None:
+                groups[key] = [latency]
+            else:
+                samples.append(latency)
+        return cls({key: LatencyRecorder(samples)
+                    for key, samples in groups.items()})
 
     @staticmethod
     def _normalize(key) -> tuple:
@@ -168,15 +210,13 @@ class KeyedLatencyRecorder:
             recorder = self._recorders[key] = LatencyRecorder()
         return recorder
 
-    @staticmethod
-    def _sort_key(key: tuple) -> tuple:
-        # Numbers order numerically and before strings, so tenant ids
-        # don't come out 0, 1, 10, 11, 2 once they reach two digits.
-        return tuple((0, field, "") if isinstance(field, (int, float))
-                     else (1, 0, str(field)) for field in key)
-
     def keys(self) -> list[tuple]:
-        return sorted(self._recorders, key=self._sort_key)
+        # Thousands of keys share a few tenants and placements: build
+        # each field value's sort key once.
+        field_keys = _FieldSortKeys()
+        return sorted(self._recorders,
+                      key=lambda key: tuple(map(field_keys.__getitem__,
+                                                key)))
 
     @property
     def total_count(self) -> int:

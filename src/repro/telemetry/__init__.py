@@ -39,6 +39,7 @@ from repro.telemetry.profiler import (
 )
 from repro.telemetry.trace import (
     DEFAULT_TRACE_CAPACITY,
+    TraceEvents,
     TraceRecorder,
     assert_request_phases,
     render_trace,
@@ -63,6 +64,7 @@ __all__ = [
     "SloObjective",
     "Telemetry",
     "TelemetryReport",
+    "TraceEvents",
     "TraceRecorder",
     "WallClockProfile",
     "WallClockProfiler",

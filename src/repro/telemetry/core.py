@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import (
+    TraceEvents,
     TraceRecorder,
     render_trace,
     trace_document,
@@ -34,7 +35,9 @@ from repro.telemetry.trace import (
 class TelemetryReport:
     """Pure-data snapshot of one run's telemetry (picklable).
 
-    ``events`` are the raw flight-recorder tuples, ``metrics_rows``
+    ``events`` are the flight-recorder events (a read-only
+    :class:`~repro.telemetry.trace.TraceEvents` sequence of
+    ``(ph, track, name, ts_ns, dur_ns, args)`` tuples), ``metrics_rows``
     the sampled time series.  Everything downstream — trace export,
     metrics tables, health analysis, determinism comparisons —
     derives from this.  ``objectives``/``horizon_ns`` are stamped by
@@ -43,7 +46,7 @@ class TelemetryReport:
     profiler intervals exported as the trace's host-time track.
     """
 
-    events: list = field(default_factory=list)
+    events: TraceEvents = field(default_factory=TraceEvents)
     recorded: int = 0
     dropped: int = 0
     tracing: bool = False
@@ -152,7 +155,7 @@ class Telemetry:
     def report(self) -> TelemetryReport:
         """Pure-data report of everything recorded so far."""
         return TelemetryReport(
-            events=list(self.trace.events) if self.trace else [],
+            events=self.trace.snapshot() if self.trace else TraceEvents(),
             recorded=self.trace.recorded if self.trace else 0,
             dropped=self.trace.dropped if self.trace else 0,
             tracing=self.tracing,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+from collections.abc import Iterator, Sequence
 from typing import Any, Iterable
 
 from repro.errors import TelemetryError
@@ -30,16 +31,60 @@ DEFAULT_TRACE_CAPACITY = 262_144
 _PHASES = ("X", "i", "M", "C")
 
 
+class TraceEvents(Sequence):
+    """Read-only sequence of ``(ph, track, name, ts_ns, dur_ns, args)``.
+
+    Stored as two aligned columns: ``heads``, the ``(ph, track, name,
+    ts_ns, dur_ns)`` tuples, and ``args``, each event's argument dict
+    (or ``None``).  A head holds only strings and floats, so the cyclic
+    GC untracks it; a tuple holding the dict would stay tracked for
+    good.  Indexing and iteration yield the joined 6-tuples.
+    """
+
+    __slots__ = ("heads", "args")
+
+    def __init__(self, heads: Sequence[tuple] = (),
+                 args: Sequence[dict | None] = ()) -> None:
+        self.heads = heads
+        self.args = args
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __getitem__(self, index: int) -> tuple:
+        if isinstance(index, slice):
+            raise TypeError("TraceEvents does not support slicing")
+        return (*self.heads[index], self.args[index])
+
+    def __iter__(self) -> Iterator[tuple]:
+        for head, args in zip(self.heads, self.args):
+            yield (*head, args)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceEvents):
+            return NotImplemented
+        return (len(self) == len(other)
+                and all(a == b for a, b in zip(self.heads, other.heads))
+                and all(a == b for a, b in zip(self.args, other.args)))
+
+    def __repr__(self) -> str:
+        return f"TraceEvents({len(self)} events)"
+
+    def __reduce__(self):
+        return TraceEvents, (list(self.heads), list(self.args))
+
+
 class TraceRecorder:
     """Bounded flight recorder of simulated-time trace events.
 
-    Events are ``(ph, track, name, ts_ns, dur_ns, args)`` tuples in a
-    ``deque(maxlen=capacity)``: recording never allocates beyond the
-    cap, and under overflow the *oldest* events fall out first — the
+    The ring is two aligned ``deque(maxlen=capacity)`` columns — event
+    heads and argument dicts — read together through :attr:`events`.
+    Recording never allocates beyond the cap, and under overflow the
+    *oldest* events fall out of both columns first — the
     flight-recorder discipline (the tail of a run is what you debug).
     """
 
-    __slots__ = ("capacity", "events", "recorded")
+    __slots__ = ("capacity", "recorded", "_heads", "_args")
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity < 1:
@@ -47,26 +92,39 @@ class TraceRecorder:
                 f"trace capacity must be >= 1, got {capacity}"
             )
         self.capacity = capacity
-        self.events: collections.deque = collections.deque(maxlen=capacity)
+        self._heads: collections.deque = collections.deque(maxlen=capacity)
+        self._args: collections.deque = collections.deque(maxlen=capacity)
         self.recorded = 0
+
+    @property
+    def events(self) -> TraceEvents:
+        """Live view of the retained events, oldest first."""
+        return TraceEvents(self._heads, self._args)
+
+    def snapshot(self) -> TraceEvents:
+        """The retained events, copied out of the ring (the tuples and
+        dicts are shared, not rebuilt)."""
+        return TraceEvents(list(self._heads), list(self._args))
 
     @property
     def dropped(self) -> int:
         """Events that fell out of the ring buffer."""
-        return self.recorded - len(self.events)
+        return self.recorded - len(self._heads)
 
     def span(self, track: str, name: str, start_ns: float,
              end_ns: float, args: dict | None = None) -> None:
         """Record one complete span (``ph="X"``) on ``track``."""
         self.recorded += 1
-        self.events.append(("X", track, name, start_ns,
-                            max(end_ns - start_ns, 0.0), args))
+        self._heads.append(("X", track, name, start_ns,
+                            max(end_ns - start_ns, 0.0)))
+        self._args.append(args)
 
     def instant(self, track: str, name: str, ts_ns: float,
                 args: dict | None = None) -> None:
         """Record one instant event (``ph="i"``) on ``track``."""
         self.recorded += 1
-        self.events.append(("i", track, name, ts_ns, 0.0, args))
+        self._heads.append(("i", track, name, ts_ns, 0.0))
+        self._args.append(args)
 
 
 def trace_document(events: Iterable[tuple], dropped: int = 0,

@@ -216,8 +216,7 @@ class TestStoreServing:
         sim.run()
         # decompress priced by the read model: 0.01 ns/B * 1000 B.
         assert store.metrics.miss_latency.samples == [pytest.approx(10.0)]
-        ops = {key[0] for key in
-               store.service.metrics.by_op_placement.keys()}
+        ops = {row["op"] for row in store.service.report().op_breakdown}
         assert ops == {"decompress"}
         # The block is now cached; the next read hits.
         assert store.get(block=5, tenant=0) == "hit"
