@@ -16,6 +16,7 @@ fallback — asserted in the test suite).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -184,13 +185,9 @@ class KeyedLatencyRecorder:
         equal those of recording the same pairs one by one (the values
         are not checked again: the caller recorded them).
         """
-        groups: dict[tuple, list[float]] = {}
+        groups: defaultdict[tuple, list[float]] = defaultdict(list)
         for key, latency in zip(keys, latencies):
-            samples = groups.get(key)
-            if samples is None:
-                groups[key] = [latency]
-            else:
-                samples.append(latency)
+            groups[key].append(latency)
         return cls({key: LatencyRecorder(samples)
                     for key, samples in groups.items()})
 
