@@ -36,7 +36,7 @@ class TraceEvents(Sequence):
 
     Stored as two aligned columns: ``heads``, the ``(ph, track, name,
     ts_ns, dur_ns)`` tuples, and ``args``, each event's argument dict
-    (or ``None``).  A head holds only strings and floats, so the cyclic
+    (or ``None``).  A head holds only strings and numbers, so the cyclic
     GC untracks it; a tuple holding the dict would stay tracked for
     good.  Indexing and iteration yield the joined 6-tuples.
     """
@@ -63,12 +63,8 @@ class TraceEvents(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceEvents):
             return NotImplemented
-        return (len(self) == len(other)
-                and all(a == b for a, b in zip(self.heads, other.heads))
-                and all(a == b for a, b in zip(self.args, other.args)))
-
-    def __repr__(self) -> str:
-        return f"TraceEvents({len(self)} events)"
+        return (list(self.heads) == list(other.heads)
+                and list(self.args) == list(other.args))
 
     def __reduce__(self):
         return TraceEvents, (list(self.heads), list(self.args))
