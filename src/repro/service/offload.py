@@ -42,6 +42,7 @@ from repro.service.policy import DispatchPolicy, make_policy
 from repro.service.request import OffloadRequest
 from repro.service.scheduler import SchedulerCore, ServiceMetrics
 from repro.sim.engine import Simulator
+from repro.sim.stats import LatencyRecorder
 
 
 @dataclass
@@ -214,7 +215,14 @@ class OffloadService:
     def report(self, duration_ns: float | None = None) -> ServiceReport:
         metrics = self.metrics
         log = metrics.log
-        summary = log.overall().summary_us()
+        # Views are built one at a time and dropped once summarized,
+        # so the report never holds two copies of every latency.
+        summary = LatencyRecorder(log.latency_ns).summary_us()
+        breakdown = log.grouped(log.tenant, log.placement).breakdown(
+            ("tenant", "placement"))
+        op_breakdown = log.grouped(log.op, log.placement).breakdown(
+            ("op", "placement"))
+        by_slo = log.grouped(log.slo)
         per_device = []
         for device in self.devices + (
                 [self.spill_device] if self.spill_device else []):
@@ -228,7 +236,6 @@ class OffloadService:
                 "batches": device.batches_submitted,
                 "engine_gbps": device.throughput.gbps(),
             })
-        by_slo = log.grouped(log.slo)
         slo_breakdown = []
         for name, stats in sorted(metrics.slo.items(),
                                   key=lambda kv: (kv[1].tier, kv[0])):
@@ -259,10 +266,8 @@ class OffloadService:
             p50_us=summary["p50_us"],
             p95_us=summary["p95_us"],
             p99_us=summary["p99_us"],
-            breakdown=log.grouped(log.tenant, log.placement).breakdown(
-                ("tenant", "placement")),
-            op_breakdown=log.grouped(log.op, log.placement).breakdown(
-                ("op", "placement")),
+            breakdown=breakdown,
+            op_breakdown=op_breakdown,
             slo_breakdown=slo_breakdown,
             per_device=per_device,
         )

@@ -47,7 +47,7 @@ from repro.service.model import ModeledCost
 from repro.service.policy import DispatchPolicy
 from repro.service.request import OffloadRequest, SloClass
 from repro.sim.engine import Simulator
-from repro.sim.stats import KeyedLatencyRecorder, LatencyRecorder
+from repro.sim.stats import KeyedLatencyRecorder
 from repro.telemetry import DISABLED
 
 #: Pending-queue depth an SLO-aware policy gets when none is specified.
@@ -87,8 +87,8 @@ class CompletionLog:
 
     Rows are in completion order.  ``latency_ns`` is an ``array('d')``
     and the other columns hold atomic values (tenant ids, placement,
-    op and SLO-class names), so a long run keeps a handful of
-    containers the cyclic GC never has to walk instead of one recorder
+    op and SLO-class names), so a long run leaves the cyclic GC five
+    containers of untracked values instead of a recorder and a list
     per key.  Breakdowns are grouped from the columns at report time
     (:meth:`grouped`); each key's samples are the same values in the
     same order as per-key recording gave, so every summary is
@@ -100,10 +100,6 @@ class CompletionLog:
     placement: list[str] = field(default_factory=list)
     op: list[str] = field(default_factory=list)
     slo: list[str] = field(default_factory=list)
-
-    def overall(self) -> LatencyRecorder:
-        """Every completion's latency, in completion order."""
-        return LatencyRecorder(self.latency_ns.tolist())
 
     def grouped(self, *columns: list) -> KeyedLatencyRecorder:
         """Latencies keyed by the tuple of ``columns`` values per row,

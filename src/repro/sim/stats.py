@@ -86,7 +86,11 @@ def coefficient_of_variation(samples: list[float]) -> float:
 
 @dataclass(slots=True)
 class LatencyRecorder:
-    """Collects latency samples (ns) and summarizes them."""
+    """Collects latency samples (ns) and summarizes them.
+
+    The summaries only read ``samples``, so any float sequence can be
+    summarized in place, e.g. a completion log's ``array('d')``.
+    """
 
     samples: list[float] = field(default_factory=list)
 

@@ -17,6 +17,7 @@ which the last tests check directly.
 import gc
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from repro.service.request import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.stats import (
+    VECTORIZE_MIN,
     KeyedLatencyRecorder,
     LatencyRecorder,
     mean,
@@ -213,6 +215,14 @@ class TestCompletionLog:
 
 
 # -- the views' fast paths ------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 7, VECTORIZE_MIN + 3])
+def test_summary_of_double_array_equals_list(count):
+    rng = random.Random(count)
+    values = [rng.expovariate(1 / 40_000.0) for _ in range(count)]
+    assert LatencyRecorder(array("d", values)).summary_us() == \
+        LatencyRecorder(values).summary_us()
 
 
 def _reference_sort_key(key: tuple) -> tuple:
