@@ -95,8 +95,9 @@ def test_bench_sweep_inline(benchmark, warm_models):
     """Dispatch comparison floor: the grid through the inline runner."""
     result = benchmark(lambda: SweepRunner(_sweep_spec()).run())
     assert len(result.rows()) == _POINTS
-    benchmark.extra_info["per_point_ms"] = round(
-        benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["per_point_ms"] = round(
+            benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
 
 
 def test_bench_sweep_socket_dispatch(benchmark, warm_models):
@@ -105,8 +106,9 @@ def test_bench_sweep_socket_dispatch(benchmark, warm_models):
     result = benchmark(lambda: SweepRunner(
         _sweep_spec(), workers=2).run())
     assert len(result.rows()) == _POINTS
-    benchmark.extra_info["per_point_ms"] = round(
-        benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["per_point_ms"] = round(
+            benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
 
 
 def test_bench_socket_rows_match_inline(warm_models, show_tables):

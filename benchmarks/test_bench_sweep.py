@@ -70,6 +70,7 @@ def test_bench_sweep_serial(benchmark, warm_models):
     result = benchmark(_run_serial)
     assert len(result.rows()) == _POINTS
     benchmark.extra_info["points"] = _POINTS
-    benchmark.extra_info["per_point_ms"] = round(
-        benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["per_point_ms"] = round(
+            benchmark.stats.stats.mean * 1e3 / _POINTS, 3)
 

@@ -42,7 +42,6 @@ _LAZY_EXPORTS = {
     "FleetController": "repro.service",
     "FleetDevice": "repro.service",
     "OffloadRequest": "repro.service",
-    "OffloadService": "repro.service",
     "OpenLoopStream": "repro.service",
     "SchedulerCore": "repro.service",
     "ServiceReport": "repro.service",

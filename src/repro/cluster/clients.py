@@ -29,13 +29,13 @@ from functools import partial
 from typing import Any
 
 from repro.errors import ClusterError, StoreError
-from repro.service.offload import OffloadService
 from repro.service.request import (
     BEST_EFFORT,
     OffloadRequest,
     OpenLoopStream,
     SloClass,
 )
+from repro.service.scheduler import SchedulerCore
 from repro.sim.stats import LatencyRecorder
 from repro.store.store import CompressedBlockStore
 from repro.workloads.mixed import MixedStream
@@ -65,13 +65,13 @@ class ClusterClient:
 
     mode = "client"
 
-    def __init__(self, service: OffloadService, name: str,
+    def __init__(self, scheduler: SchedulerCore, name: str,
                  duration_ns: float) -> None:
         if duration_ns <= 0:
             raise ClusterError(f"client duration must be > 0, "
                                f"got {duration_ns}")
-        self.service = service
-        self.sim = service.sim
+        self.scheduler = scheduler
+        self.sim = scheduler.sim
         self.name = name
         self.duration_ns = duration_ns
         self.submitted = 0
@@ -180,9 +180,9 @@ class OpenLoopClient(ClusterClient):
 
     mode = "open-loop"
 
-    def __init__(self, service: OffloadService, stream: OpenLoopStream,
+    def __init__(self, scheduler: SchedulerCore, stream: OpenLoopStream,
                  name: str = "open-loop") -> None:
-        super().__init__(service, name, stream.duration_ns)
+        super().__init__(scheduler, name, stream.duration_ns)
         self.stream = stream
 
     # The hottest client path in the repo (every open-loop request passes
@@ -211,8 +211,9 @@ class OpenLoopClient(ClusterClient):
             self._done()
             return
         self.submitted += 1
-        self.service.submit(stream.make_request(self._rng),
-                            on_complete=self._complete, on_drop=self._drop)
+        self.scheduler.submit(stream.make_request(self._rng),
+                              on_complete=self._complete,
+                              on_drop=self._drop)
         self._schedule_arrival()
 
     def _complete(self, request: OffloadRequest, device, cost) -> None:
@@ -237,7 +238,7 @@ class ClosedLoopClient(ClusterClient):
 
     mode = "closed-loop"
 
-    def __init__(self, service: OffloadService, *,
+    def __init__(self, scheduler: SchedulerCore, *,
                  window: int,
                  duration_ns: float,
                  think_ns: float = 0.0,
@@ -249,7 +250,7 @@ class ClosedLoopClient(ClusterClient):
                  slo: SloClass = BEST_EFFORT,
                  seed: int = 1234,
                  name: str = "closed-loop") -> None:
-        super().__init__(service, name, duration_ns)
+        super().__init__(scheduler, name, duration_ns)
         _validate_window_args(name, window, think_ns, retry_backoff_ns)
         if not request_sizes:
             raise ClusterError(f"{name}: need at least one request size")
@@ -287,9 +288,9 @@ class ClosedLoopClient(ClusterClient):
             return
         request = self._make_request(rng)
         self._track_submit()
-        self.service.submit(request,
-                            on_complete=partial(self._complete, rng),
-                            on_drop=partial(self._drop, rng))
+        self.scheduler.submit(request,
+                              on_complete=partial(self._complete, rng),
+                              on_drop=partial(self._drop, rng))
 
     def _complete(self, rng: random.Random, request: OffloadRequest,
                   device, cost) -> None:
@@ -336,7 +337,7 @@ class StoreClient(ClusterClient):
                  window: int | None = None,
                  think_ns: float = 0.0,
                  retry_backoff_ns: float = 1_000.0) -> None:
-        super().__init__(store.service, name, stream.duration_ns)
+        super().__init__(store.scheduler, name, stream.duration_ns)
         if stream.block_bytes != store.block_bytes:
             raise StoreError(
                 f"{name}: stream block size {stream.block_bytes} != "

@@ -3,7 +3,7 @@
 Every :meth:`~repro.cluster.session.Cluster.run` returns one
 :class:`RunResult`, whatever mix of clients drove the run — so
 experiments, examples and the CLI all tabulate the same row shape
-instead of choosing between :class:`~repro.service.offload.
+instead of choosing between :class:`~repro.service.scheduler.
 ServiceReport` and :class:`~repro.store.store.StoreReport` per call
 site.  The full reports stay attached for deep dives (placement
 breakdowns, SLO classes, cache stats); :meth:`RunResult.row` is the
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ServiceError, TelemetryError
-from repro.service.offload import ServiceReport
+from repro.service.scheduler import ServiceReport
 from repro.store.store import StoreReport
 from repro.telemetry import (
     HealthReport,

@@ -2,13 +2,19 @@
 
 ``Cluster.from_spec(spec)`` assembles the whole serving stack a
 :class:`~repro.cluster.spec.ClusterSpec` describes — simulator, fleet
-(with calibrated per-op cost models), scheduler core, admission,
-optional block-store tier, fleet controller with the reconfiguration
-schedule armed — and hands out client handles
+(with calibrated per-op cost models), the
+:class:`~repro.service.scheduler.SchedulerCore` that serves it with
+its admission controller, optional block-store tier, fleet controller
+with the reconfiguration schedule armed — and hands out client handles
 (:meth:`Cluster.open_loop`, :meth:`Cluster.closed_loop`,
-:meth:`Cluster.store_client`).  :meth:`Cluster.run` drives the
-simulation to completion and returns the unified
-:class:`~repro.cluster.result.RunResult`.
+:meth:`Cluster.store_client`), each submitting straight to that core.
+:meth:`Cluster.run` drives the simulation to completion and returns
+the unified :class:`~repro.cluster.result.RunResult`.
+
+The run plumbing a federation shares with a cluster lives here too:
+the simulator factory (:func:`new_simulator`), the metrics-interval
+check (:func:`check_metrics_interval`) and the metrics sampler
+(:func:`metrics_sampler`).
 
 Device cost-model calibration runs the real codecs, so it is by far
 the most expensive part of building a cluster; calibrated models are
@@ -40,14 +46,16 @@ from repro.cluster.spec import ClusterSpec, DeviceSpec
 from repro.profiling.powermeter import PowerMeter
 from repro.service.admission import AdmissionController
 from repro.service.control import FleetController
+from repro.service.fleet import build_fleet
 from repro.service.model import DeviceCostModel
-from repro.service.offload import OffloadService, build_fleet
 from repro.service.request import OpenLoopStream, SloClass
+from repro.service.scheduler import SchedulerCore
 from repro.sim.engine import Simulator
 from repro.store.cache import BlockCache
 from repro.store.store import CompressedBlockStore
 from repro.telemetry import (
     DISABLED,
+    MetricsRegistry,
     ProfiledTelemetry,
     SloObjective,
     Telemetry,
@@ -98,6 +106,48 @@ def calibrated_models(spec: DeviceSpec, device: CdpuDevice,
     return {op: _MODEL_CACHE[(key, op)] for op in ops}
 
 
+def new_simulator(sanitize: bool | None = None) -> Simulator:
+    """A fresh simulator for one session.
+
+    ``sanitize=True`` builds a
+    :class:`~repro.analyzers.runtime.SanitizedSimulator`, which
+    validates engine invariants while keeping results byte-identical;
+    ``None`` defers to the ``REPRO_SANITIZE`` environment variable.
+    """
+    if sanitize is None:
+        from repro.analyzers.runtime import sanitize_from_env
+        sanitize = sanitize_from_env()
+    if sanitize:
+        from repro.analyzers.runtime import SanitizedSimulator
+        return SanitizedSimulator()
+    return Simulator()
+
+
+def check_metrics_interval(metrics: MetricsRegistry | None,
+                           horizon: float) -> None:
+    """Reject a sampling interval no run of ``horizon`` ns would reach."""
+    if metrics is not None and metrics.interval_ns > horizon:
+        raise TelemetryError(
+            f"TelemetrySpec.metrics_interval_ns "
+            f"({metrics.interval_ns:g} ns) exceeds the run horizon "
+            f"({horizon:g} ns); no sample would ever be taken — "
+            f"shorten the interval or lengthen the run"
+        )
+
+
+def metrics_sampler(sim: Simulator, registry: MetricsRegistry,
+                    horizon: float):
+    """Process ticking ``registry`` until the measurement window ends.
+
+    Bounded by ``horizon`` so the simulation's event queue still
+    drains once the clients stop submitting.
+    """
+    interval = registry.interval_ns
+    while sim.now + interval <= horizon:
+        yield sim.timeout(interval)
+        registry.sample(sim.now)
+
+
 class Cluster:
     """A live serving cluster: simulator, fleet, scheduler, clients.
 
@@ -107,15 +157,15 @@ class Cluster:
     :meth:`run` exactly once.
     """
 
-    def __init__(self, sim: Simulator, service: OffloadService,
+    def __init__(self, sim: Simulator, scheduler: SchedulerCore,
                  store: CompressedBlockStore | None = None,
                  spec: ClusterSpec | None = None,
                  telemetry: Telemetry | None = None) -> None:
         self.sim = sim
-        self.service = service
+        self.scheduler = scheduler
         self.store = store
         self.spec = spec
-        self.controller = FleetController(service)
+        self.controller = FleetController(scheduler)
         if telemetry is None:
             telemetry = (Telemetry(spec.telemetry)
                          if spec is not None and spec.telemetry is not None
@@ -130,7 +180,7 @@ class Cluster:
 
     def _wire_telemetry(self) -> None:
         """Hand the live telemetry sink to every instrumented component."""
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         scheduler.telemetry = self.telemetry
         for device in scheduler.devices:
             device.telemetry = self.telemetry
@@ -166,7 +216,7 @@ class Cluster:
             self._wire_telemetry()
         if self.telemetry.metrics is not None:
             profiler.wrap(self.telemetry.metrics, "sample", "telemetry")
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         for attr in ("submit", "pump", "_record_completion"):
             profiler.wrap(scheduler, attr, "scheduler")
         if self.store is not None:
@@ -183,25 +233,15 @@ class Cluster:
                   telemetry: Telemetry | None = None) -> "Cluster":
         """Assemble simulator + fleet + scheduler (+ store) from a spec.
 
-        ``sanitize=True`` builds the cluster on a
-        :class:`~repro.analyzers.runtime.SanitizedSimulator`, which
-        validates engine invariants while keeping results
-        byte-identical; ``None`` (default) defers to the
-        ``REPRO_SANITIZE`` environment variable.
+        ``sanitize`` picks the simulator as :func:`new_simulator`
+        does (``None``, the default, defers to ``REPRO_SANITIZE``).
 
         ``sim``/``telemetry`` let a federated session assemble several
         member clusters on one shared simulator and one (scoped)
         telemetry sink; standalone callers leave both ``None``.
         """
         if sim is None:
-            if sanitize is None:
-                from repro.analyzers.runtime import sanitize_from_env
-                sanitize = sanitize_from_env()
-            if sanitize:
-                from repro.analyzers.runtime import SanitizedSimulator
-                sim = SanitizedSimulator()
-            else:
-                sim = Simulator()
+            sim = new_simulator(sanitize)
         fleet_spec = spec.fleet
         entries = []
         for device_spec in fleet_spec.devices:
@@ -227,22 +267,22 @@ class Cluster:
                 shed_threshold=spec.admission.shed_threshold,
                 ewma_alpha=spec.admission.ewma_alpha,
             )
-        service = OffloadService(sim, members, spec.policy,
-                                 admission=admission,
-                                 spill_device=spill_member,
-                                 pending_limit=spec.pending_limit)
+        scheduler = SchedulerCore(sim, members, spec.policy,
+                                  admission=admission,
+                                  spill_device=spill_member,
+                                  pending_limit=spec.pending_limit)
         store = None
         if spec.store is not None:
             store_spec = spec.store
             store = CompressedBlockStore(
-                sim, service,
+                sim, scheduler,
                 BlockCache(store_spec.cache_blocks, store_spec.ghost_blocks),
                 block_bytes=store_spec.block_bytes,
                 segment_bytes=store_spec.segment_bytes,
                 read_slo=store_spec.read_slo.to_class(),
                 write_slo=store_spec.write_slo.to_class(),
             )
-        cluster = cls(sim, service, store=store, spec=spec,
+        cluster = cls(sim, scheduler, store=store, spec=spec,
                       telemetry=telemetry)
         cluster._arm_reconfiguration(spec)
         return cluster
@@ -305,7 +345,7 @@ class Cluster:
             raise ClusterError(
                 "pass either a stream or stream kwargs, not both"
             )
-        client = OpenLoopClient(self.service, stream, name=name)
+        client = OpenLoopClient(self.scheduler, stream, name=name)
         self._attach(client)
         return client
 
@@ -324,7 +364,7 @@ class Cluster:
                 slo = mix[0][0]
         if slo is not None:
             client_kwargs["slo"] = slo
-        client = ClosedLoopClient(self.service, window=window,
+        client = ClosedLoopClient(self.scheduler, window=window,
                                   duration_ns=duration_ns,
                                   think_ns=think_ns, name=name,
                                   **client_kwargs)
@@ -381,7 +421,7 @@ class Cluster:
         if self._active_clients == 0:
             # The last arrival stream has ended: flush partial batches
             # and arm drain mode so late dispatches keep flushing.
-            self.service.flush()
+            self.scheduler.flush()
 
     def run(self) -> RunResult:
         """Drive every attached client to completion and report.
@@ -401,20 +441,14 @@ class Cluster:
             )
         horizon = max(client.duration_ns for client in self._clients)
         metrics = self.telemetry.metrics
-        if metrics is not None and metrics.interval_ns > horizon:
-            raise TelemetryError(
-                f"TelemetrySpec.metrics_interval_ns "
-                f"({metrics.interval_ns:g} ns) exceeds the run horizon "
-                f"({horizon:g} ns); no sample would ever be taken — "
-                f"shorten the interval or lengthen the clients"
-            )
+        check_metrics_interval(metrics, horizon)
         self._ran = True
-        self.service.measure_until_ns = horizon
+        self.scheduler.measure_until_ns = horizon
         if self.store is not None:
             self.store.measure_until_ns = horizon
         if metrics is not None:
             self._register_default_gauges()
-            self.sim.spawn(self._metrics_sampler(horizon))
+            self.sim.spawn(metrics_sampler(self.sim, metrics, horizon))
         self._active_clients = len(self._clients)
         profiler = self._profiler
         if profiler is not None:
@@ -432,7 +466,7 @@ class Cluster:
             # running as long as it makes progress.
             while self._active_clients > 0:
                 before = self.sim.now
-                self.service.flush()
+                self.scheduler.flush()
                 self.sim.run()
                 if self.sim.now == before:
                     break
@@ -454,7 +488,7 @@ class Cluster:
                 telemetry_report.host_sections = list(profiler.sections)
         return RunResult(
             duration_ns=horizon,
-            service=self.service.report(duration_ns=horizon),
+            service=self.scheduler.report(duration_ns=horizon),
             store=(self.store.report(duration_ns=horizon)
                    if self.store is not None else None),
             clients=[client.row() for client in self._clients],
@@ -515,21 +549,9 @@ class Cluster:
 
     # -- telemetry sampling ----------------------------------------------------
 
-    def _metrics_sampler(self, horizon: float):
-        """Tick the metrics registry until the measurement window ends.
-
-        Bounded by ``horizon`` so the simulation's event queue still
-        drains once the clients stop submitting.
-        """
-        registry = self.telemetry.metrics
-        interval = registry.interval_ns
-        while self.sim.now + interval <= horizon:
-            yield self.sim.timeout(interval)
-            registry.sample(self.sim.now)
-
     def _fleet_keyed(self) -> list[tuple[str, Any]]:
         """Every fleet member (spill last) with unique gauge keys."""
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         devices = list(scheduler.devices)
         if scheduler.spill_device is not None:
             devices.append(scheduler.spill_device)
@@ -546,7 +568,7 @@ class Cluster:
     def _register_default_gauges(self) -> None:
         """The standard serving time series every sampled run records."""
         registry = self.telemetry.metrics
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         metrics = scheduler.metrics
         registry.gauge("pending", lambda: float(scheduler.pending))
         registry.gauge("utilization", scheduler.utilization)

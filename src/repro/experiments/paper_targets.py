@@ -1,8 +1,7 @@
 """The paper's reported numbers, as calibration/validation targets.
 
-Collected from the text of §5 (EXPERIMENTS.md records our measured
-values against these).  All throughputs GB/s, latencies us, ratios as
-compressed/original fractions.
+Collected from the text of §5.  All throughputs GB/s, latencies us,
+ratios as compressed/original fractions.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The federated session produces *both* views:
 
-* a merged :class:`~repro.service.offload.ServiceReport` whose counts
+* a merged :class:`~repro.service.scheduler.ServiceReport` whose counts
   and bytes sum over every member, whose percentiles come from the
   federated driver's own end-to-end recorder (fabric hops included),
   and whose breakdown rows are the members' rows tagged with a
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.result import RunResult
 from repro.federation.router import RouterReport
-from repro.service.offload import ServiceReport
+from repro.service.scheduler import ServiceReport
 from repro.sim.stats import LatencyRecorder
 
 __all__ = ["FederationResult", "merge_service_reports"]

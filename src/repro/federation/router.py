@@ -1,7 +1,7 @@
 """The global router: one submission front over N member clusters.
 
-A :class:`GlobalRouter` quacks like an
-:class:`~repro.service.offload.OffloadService` (``.sim`` plus
+A :class:`GlobalRouter` quacks like a
+:class:`~repro.service.scheduler.SchedulerCore` (``.sim`` plus
 ``.submit(request, on_complete=..., on_drop=...)``), so the federated
 driver is literally an
 :class:`~repro.cluster.clients.OpenLoopClient` pointed at the router —
@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 
 from repro.errors import FederationError
 from repro.federation.spec import ROUTING_POLICIES, LinkSpec
-from repro.service.offload import OffloadService
 from repro.service.request import OffloadRequest
+from repro.service.scheduler import SchedulerCore
 from repro.sim.engine import Simulator
 from repro.telemetry import DISABLED, Telemetry
 
@@ -83,12 +83,11 @@ class GlobalRouter:
 
     __slots__ = ("sim", "telemetry", "routing", "affinity_threshold",
                  "routed", "remote", "remote_request_bytes",
-                 "remote_response_bytes", "_names", "_services",
-                 "_schedulers", "_submits", "_link_costs", "_n",
-                 "_pick")
+                 "remote_response_bytes", "_names", "_schedulers",
+                 "_submits", "_link_costs", "_n", "_pick")
 
     def __init__(self, sim: Simulator,
-                 members: Sequence[tuple[str, OffloadService, LinkSpec]],
+                 members: Sequence[tuple[str, SchedulerCore, LinkSpec]],
                  routing: str = "least-loaded",
                  affinity_threshold: float = 0.75,
                  telemetry: Telemetry = DISABLED) -> None:
@@ -104,17 +103,15 @@ class GlobalRouter:
         self.routing = routing
         self.affinity_threshold = affinity_threshold
         self._names = tuple(name for name, _, _ in members)
-        self._services = [service for _, service, _ in members]
-        self._schedulers = [service.scheduler
-                            for service in self._services]
+        self._schedulers = [scheduler for _, scheduler, _ in members]
         # Hot-path hoists: bound submit per member, link pricing as
         # (latency_ns, 1/bandwidth) pairs.
-        self._submits = [service.submit for service in self._services]
+        self._submits = [scheduler.submit for scheduler in self._schedulers]
         self._link_costs = [
             (link.latency_ns, 1.0 / link.effective_bandwidth_gbps)
             for _, _, link in members
         ]
-        self._n = len(self._services)
+        self._n = len(self._schedulers)
         self.routed = [0] * self._n
         self.remote = [0] * self._n
         self.remote_request_bytes = [0] * self._n
@@ -146,7 +143,7 @@ class GlobalRouter:
             return home
         return self._pick_least_loaded(home)
 
-    # -- submission (OffloadService protocol) ----------------------------------
+    # -- submission (SchedulerCore protocol) -----------------------------------
 
     def submit(self, request: OffloadRequest,
                on_complete=None, on_drop=None) -> str:

@@ -10,8 +10,9 @@ stream — heavy-tailed population and diurnal modulation included —
 through an ordinary :class:`~repro.cluster.clients.OpenLoopClient`
 pointed at the router.  :meth:`Federation.run` mirrors
 :meth:`~repro.cluster.session.Cluster.run` (measurement horizon,
-gauges + sampler, defensive drain, sanitizer finish hook) and returns
-a :class:`~repro.federation.result.FederationResult` whose merged
+gauges + the cluster module's sampler, defensive drain, sanitizer
+finish hook) and returns a
+:class:`~repro.federation.result.FederationResult` whose merged
 :class:`~repro.cluster.result.RunResult` feeds every existing table,
 export and health path.
 """
@@ -20,8 +21,13 @@ from __future__ import annotations
 
 from repro.cluster.clients import OpenLoopClient
 from repro.cluster.result import RunResult
-from repro.cluster.session import Cluster
-from repro.errors import FederationError, TelemetryError
+from repro.cluster.session import (
+    Cluster,
+    check_metrics_interval,
+    metrics_sampler,
+    new_simulator,
+)
+from repro.errors import FederationError
 from repro.federation.result import FederationResult, merge_service_reports
 from repro.federation.router import GlobalRouter
 from repro.federation.spec import FederationSpec
@@ -44,7 +50,7 @@ class Federation:
         self.telemetry = telemetry
         self.router = GlobalRouter(
             sim,
-            [(name, cluster.service, member.link)
+            [(name, cluster.scheduler, member.link)
              for (name, cluster), member in zip(clusters, spec.members)],
             routing=spec.routing,
             affinity_threshold=spec.affinity_threshold,
@@ -57,14 +63,7 @@ class Federation:
     def from_spec(cls, spec: FederationSpec,
                   *, sanitize: bool | None = None) -> "Federation":
         """Assemble the shared simulator, members, telemetry, router."""
-        if sanitize is None:
-            from repro.analyzers.runtime import sanitize_from_env
-            sanitize = sanitize_from_env()
-        if sanitize:
-            from repro.analyzers.runtime import SanitizedSimulator
-            sim: Simulator = SanitizedSimulator()
-        else:
-            sim = Simulator()
+        sim = new_simulator(sanitize)
         telemetry = (Telemetry(spec.telemetry)
                      if spec.telemetry is not None else DISABLED)
         clusters = [
@@ -97,17 +96,12 @@ class Federation:
         driver = OpenLoopClient(self.router, stream, name="federated")
         horizon = stream.duration_ns
         metrics = self.telemetry.metrics
-        if metrics is not None and metrics.interval_ns > horizon:
-            raise TelemetryError(
-                f"TelemetrySpec.metrics_interval_ns "
-                f"({metrics.interval_ns:g} ns) exceeds the run horizon "
-                f"({horizon:g} ns); no sample would ever be taken"
-            )
+        check_metrics_interval(metrics, horizon)
         for _, cluster in self.clusters:
-            cluster.service.measure_until_ns = horizon
+            cluster.scheduler.measure_until_ns = horizon
         if metrics is not None:
             self._register_gauges()
-            self.sim.spawn(self._metrics_sampler(horizon))
+            self.sim.spawn(metrics_sampler(self.sim, metrics, horizon))
         self._driver_active = True
         driver.start(on_done=self._driver_finished)
         self.sim.run()
@@ -116,7 +110,7 @@ class Federation:
         while self._driver_active:
             before = self.sim.now
             for _, cluster in self.clusters:
-                cluster.service.flush()
+                cluster.scheduler.flush()
             self.sim.run()
             if self.sim.now == before:
                 break
@@ -131,7 +125,7 @@ class Federation:
         # batch timers that will never be joined.
         self._driver_active = False
         for _, cluster in self.clusters:
-            cluster.service.flush()
+            cluster.scheduler.flush()
 
     # -- telemetry -------------------------------------------------------------
 
@@ -140,7 +134,7 @@ class Federation:
         utilization, plus the global remote-routing fraction."""
         registry = self.telemetry.metrics
         for name, cluster in self.clusters:
-            scheduler = cluster.service.scheduler
+            scheduler = cluster.scheduler
             registry.gauge(f"pending_{name}",
                            lambda s=scheduler: float(s.pending))
             registry.gauge(f"util_{name}",
@@ -151,19 +145,12 @@ class Federation:
             lambda: (sum(router.remote) / sum(router.routed)
                      if sum(router.routed) else 0.0))
 
-    def _metrics_sampler(self, horizon: float):
-        registry = self.telemetry.metrics
-        interval = registry.interval_ns
-        while self.sim.now + interval <= horizon:
-            yield self.sim.timeout(interval)
-            registry.sample(self.sim.now)
-
     # -- reporting -------------------------------------------------------------
 
     def _report(self, driver: OpenLoopClient,
                 horizon: float) -> FederationResult:
         member_reports = [
-            (name, cluster.service.report(duration_ns=horizon))
+            (name, cluster.scheduler.report(duration_ns=horizon))
             for name, cluster in self.clusters
         ]
         merged = merge_service_reports(member_reports, self.spec.routing,

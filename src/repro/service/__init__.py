@@ -3,27 +3,31 @@
 Maps the paper's placement taxonomy (Figure 1: CPU software, peripheral,
 on-chip, in-storage) onto a serving layer with an explicit control
 plane / data plane split: open-loop request streams tagged with SLO
-classes, a scheduler core owning admission and deadline-aware dispatch,
-pluggable placement policies, batched submission, QoS arbitration per
-device (Figure 20), CPU-software spill, and a fleet controller for
-dynamic reconfiguration (hotplug, brown-out, power capping).
+classes, pluggable placement policies, batched submission, QoS
+arbitration per device (Figure 20), CPU-software spill, and a fleet
+controller for dynamic reconfiguration (hotplug, brown-out, power
+capping).
+
+One object serves a run: :class:`SchedulerCore` takes every submission,
+owns admission and deadline-aware dispatch over the members
+:func:`build_fleet` wraps, and builds the run's :class:`ServiceReport`.
 """
 
 from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.control import FleetController
-from repro.service.fleet import Batcher, DeviceState, FleetDevice
+from repro.service.fleet import (
+    Batcher,
+    DeviceState,
+    FleetDevice,
+    build_fleet,
+    default_fleet,
+)
 from repro.service.model import (
     DeviceCostModel,
     ModeledCost,
     RatioAnchor,
     calibrated,
     calibrated_ops,
-)
-from repro.service.offload import (
-    OffloadService,
-    ServiceReport,
-    build_fleet,
-    default_fleet,
 )
 from repro.service.policy import (
     POLICIES,
@@ -48,6 +52,7 @@ from repro.service.request import (
 from repro.service.scheduler import (
     SchedulerCore,
     ServiceMetrics,
+    ServiceReport,
     SloStats,
 )
 
@@ -66,7 +71,6 @@ __all__ = [
     "INTERACTIVE",
     "ModeledCost",
     "OffloadRequest",
-    "OffloadService",
     "OpenLoopStream",
     "POLICIES",
     "RatioAnchor",

@@ -32,7 +32,6 @@ from typing import Any, Callable, Generator
 from repro.errors import ServiceError
 from repro.hw.power import device_active_w, plan_power_cap
 from repro.service.fleet import DeviceState, FleetDevice
-from repro.service.offload import OffloadService
 from repro.service.scheduler import SchedulerCore
 from repro.sim.engine import Process, Simulator
 
@@ -43,11 +42,9 @@ DRAIN_POLL_NS = 1_000.0
 class FleetController:
     """Reconfigures a live fleet through its scheduler core."""
 
-    def __init__(self, service: OffloadService | SchedulerCore) -> None:
-        self.scheduler: SchedulerCore = (
-            service.scheduler if isinstance(service, OffloadService)
-            else service)
-        self.sim: Simulator = self.scheduler.sim
+    def __init__(self, scheduler: SchedulerCore) -> None:
+        self.scheduler = scheduler
+        self.sim: Simulator = scheduler.sim
         #: Reconfiguration audit log: (time_ns, action, device, detail).
         self.events: list[tuple[float, str, str, str]] = []
 

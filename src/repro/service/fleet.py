@@ -15,6 +15,10 @@ that models brown-out/power-cap derating — engine occupancy is scaled
 by ``1 / speed_factor`` both in the served timing and in the response
 estimates the placement policies consult, so dispatch adapts to a
 derated device without being told.
+
+:func:`build_fleet` wraps device entries (bare devices, or devices with
+their calibrated cost models) as members and validates the
+composition; :func:`default_fleet` is the paper's placement mix.
 """
 
 from __future__ import annotations
@@ -22,10 +26,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from repro.errors import ServiceError
+from repro.errors import FleetConfigError, ServiceError
+from repro.hw.cpu import CpuSoftwareDevice
+from repro.hw.dpzip import DpzipEngine
 from repro.hw.engine import CdpuDevice, Placement
+from repro.hw.qat import Qat4xxx, Qat8970
 from repro.service.model import DeviceCostModel, ModeledCost
 from repro.service.request import OffloadRequest
 from repro.sim.engine import Event, Simulator, Store
@@ -401,3 +408,80 @@ class FleetDevice:
             })
         if submission.on_complete is not None:
             submission.on_complete(request, self, cost)
+
+
+def default_fleet() -> list[CdpuDevice]:
+    """The paper's full placement mix: one device per Figure 1 column."""
+    return [
+        CpuSoftwareDevice("deflate"),
+        Qat8970(),      # peripheral
+        Qat4xxx(),      # on-chip
+        DpzipEngine(),  # in-storage
+    ]
+
+
+FleetEntries = Sequence[
+    tuple[CdpuDevice, DeviceCostModel | dict[str, DeviceCostModel] | None]
+    | CdpuDevice
+]
+
+
+def build_fleet(sim: Simulator,
+                fleet: FleetEntries | None = None,
+                spill: tuple[CdpuDevice,
+                             DeviceCostModel | dict[str, DeviceCostModel]
+                             | None] | CdpuDevice | None = None,
+                batch_size: int = 4,
+                batch_timeout_ns: float | None = 20_000.0,
+                queue_limit: int | None = None,
+                fair_share_tenants: int | None = None
+                ) -> tuple[list[FleetDevice], FleetDevice | None]:
+    """Wrap fleet/spill entries as :class:`FleetDevice` members.
+
+    Entries may be bare devices (calibrated on construction), a
+    ``(device, model)`` pair, or ``(device, {op: model})`` pairs from
+    :func:`~repro.service.model.calibrated_ops` for mixed-op serving;
+    sweeps calibrate once and reuse the pairs across runs.
+
+    Composition is validated loudly: duplicate device names (which
+    would make :class:`~repro.service.control.FleetController` targets
+    ambiguous and per-device reports indistinguishable) and
+    non-positive queue depths raise :class:`~repro.errors.
+    FleetConfigError` naming the offending entry.
+    """
+    if queue_limit is not None and queue_limit < 1:
+        raise FleetConfigError(
+            f"queue limit must be >= 1, got {queue_limit}"
+        )
+
+    def as_fleet_device(entry) -> FleetDevice:
+        device, model = (entry if isinstance(entry, tuple)
+                         else (entry, None))
+        if device.queue_depth < 1:
+            raise FleetConfigError(
+                f"device {device.name!r} has non-positive queue depth "
+                f"{device.queue_depth}"
+            )
+        return FleetDevice(
+            sim, device, model,
+            queue_limit=queue_limit,
+            batch_size=batch_size,
+            batch_timeout_ns=batch_timeout_ns,
+            fair_share_tenants=fair_share_tenants,
+        )
+
+    members = [as_fleet_device(entry)
+               for entry in (fleet if fleet is not None else default_fleet())]
+    seen: dict[str, int] = {}
+    for member in members:
+        seen[member.name] = seen.get(member.name, 0) + 1
+    duplicates = sorted(name for name, count in seen.items() if count > 1)
+    if duplicates:
+        raise FleetConfigError(
+            f"duplicate device name(s) {duplicates} in fleet; give each "
+            f"member a unique name so controllers and reports can target "
+            f"it (e.g. rename the second instance)"
+        )
+    spill_member = as_fleet_device(spill) if spill is not None else None
+    return members, spill_member
+

@@ -1,7 +1,9 @@
-"""The control plane's scheduler core: dispatch, admission, SLOs.
+"""The offload service's serving object: dispatch, admission, SLOs.
 
-:class:`SchedulerCore` owns every per-request control decision of the
-offload service — the data plane (:class:`~repro.service.fleet.
+:class:`SchedulerCore` is the offload service: clients, the block
+store and the federation router submit to it, it owns every
+per-request control decision, and it builds the run's
+:class:`ServiceReport` — the data plane (:class:`~repro.service.fleet.
 FleetDevice`) only executes what the core dispatches:
 
 * **admission** — the :class:`~repro.service.admission.
@@ -22,8 +24,7 @@ FleetDevice`) only executes what the core dispatches:
   dispatch-spill-shed behaviour the flat policies were built around;
 * **SLO accounting** — every completion is checked against its
   request's :class:`~repro.service.request.SloClass` deadline, feeding
-  the per-class deadline-miss rates in
-  :class:`~repro.service.offload.ServiceReport`.
+  the per-class deadline-miss rates in :class:`ServiceReport`.
 
 The core is also the re-entry point for dynamic fleet reconfiguration:
 the :class:`~repro.service.control.FleetController` hands reclaimed
@@ -38,16 +39,16 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import ServiceError
 from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.fleet import FleetDevice, _Submission
 from repro.service.model import ModeledCost
-from repro.service.policy import DispatchPolicy
+from repro.service.policy import DispatchPolicy, make_policy
 from repro.service.request import OffloadRequest, SloClass
 from repro.sim.engine import Simulator
-from repro.sim.stats import KeyedLatencyRecorder
+from repro.sim.stats import KeyedLatencyRecorder, LatencyRecorder
 from repro.telemetry import DISABLED
 
 #: Pending-queue depth an SLO-aware policy gets when none is specified.
@@ -105,6 +106,75 @@ class CompletionLog:
         """Latencies keyed by the tuple of ``columns`` values per row,
         e.g. ``log.grouped(log.tenant, log.placement)``."""
         return KeyedLatencyRecorder.grouped(zip(*columns), self.latency_ns)
+
+
+@dataclass(slots=True)
+class ServiceReport:
+    """Per-run summary: throughput, percentiles, breakdowns."""
+
+    policy: str
+    duration_ns: float
+    offered: int
+    completed: int
+    spilled: int
+    shed: int
+    migrated: int
+    completed_bytes: int
+    window_bytes: int
+    mean_us: float
+    p50_us: float
+    p95_us: float
+    p99_us: float
+    breakdown: list[dict] = field(default_factory=list)
+    #: One row per (op, placement): the decompress/compress split.
+    op_breakdown: list[dict] = field(default_factory=list)
+    #: One row per SLO class: deadline-miss and shed accounting.
+    slo_breakdown: list[dict] = field(default_factory=list)
+    per_device: list[dict] = field(default_factory=list)
+
+    @property
+    def completed_gbps(self) -> float:
+        """Goodput over the measurement window (bytes/ns == GB/s)."""
+        if self.duration_ns <= 0:
+            return 0.0
+        return self.window_bytes / self.duration_ns
+
+    @property
+    def goodput_fraction(self) -> float:
+        return self.completed / self.offered if self.offered else 0.0
+
+    def row(self) -> dict:
+        """Flat row for :func:`repro.profiling.report.format_table`."""
+        return {
+            "policy": self.policy,
+            "completed_gbps": self.completed_gbps,
+            "p50_us": self.p50_us,
+            "p95_us": self.p95_us,
+            "p99_us": self.p99_us,
+            "completed": self.completed,
+            "spilled": self.spilled,
+            "shed": self.shed,
+        }
+
+    def placement_shares(self, op: str) -> dict[str, float]:
+        """Fraction of completed ``op`` requests served per placement."""
+        counts = {row["placement"]: row["count"]
+                  for row in self.op_breakdown if row["op"] == op}
+        total = sum(counts.values())
+        if total == 0:
+            return {}
+        return {placement: count / total
+                for placement, count in counts.items()}
+
+    def slo_miss_rate(self, slo_name: str) -> float:
+        """Deadline-miss fraction for one SLO class (shed counts missed)."""
+        for row in self.slo_breakdown:
+            if row["slo"] == slo_name:
+                return row["miss_rate"]
+        raise ServiceError(
+            f"no traffic observed for SLO class {slo_name!r}; classes "
+            f"seen: {[row['slo'] for row in self.slo_breakdown]}"
+        )
 
 
 @dataclass(slots=True)
@@ -176,25 +246,34 @@ class _CompletionChain:
 
 
 class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling shadows submit/pump/_record_completion with instance attributes, which __slots__ forbids
-    """Owns dispatch, admission and the SLO model for one service.
+    """Routes an open-loop request stream across a CDPU fleet.
 
-    ``devices`` is the live (mutable) fleet membership list, shared
-    with the owning :class:`~repro.service.offload.OffloadService` and
-    the :class:`~repro.service.control.FleetController`.
+    Owns dispatch, admission and the SLO model for one service run,
+    and reports it (:meth:`report`).  ``devices`` is copied into the
+    live (mutable) fleet membership list, which the
+    :class:`~repro.service.control.FleetController` reconfigures
+    mid-run through this core.
     """
 
-    def __init__(self, sim: Simulator, devices: list[FleetDevice],
-                 placement: DispatchPolicy, *,
+    def __init__(self, sim: Simulator, devices: Sequence[FleetDevice],
+                 policy: DispatchPolicy | str, *,
                  admission: AdmissionController | None = None,
                  spill_device: FleetDevice | None = None,
-                 pending_limit: int | None = None,
-                 metrics: ServiceMetrics | None = None) -> None:
+                 pending_limit: int | None = None) -> None:
+        if not devices:
+            raise ServiceError("fleet must contain at least one device")
+        if isinstance(policy, str):
+            policy = make_policy(policy)
+        if admission is not None:
+            # Sweeps share one controller across runs; its EWMA state
+            # belongs to this run only.
+            admission.reset()
         self.sim = sim
-        self.devices = devices
-        self.placement = placement
+        self.devices = list(devices)
+        self.policy = policy
         self.admission = admission
         self.spill_device = spill_device
-        self.slo_aware = bool(getattr(placement, "slo_aware", False))
+        self.slo_aware = bool(getattr(policy, "slo_aware", False))
         if pending_limit is None:
             pending_limit = DEFAULT_PENDING_LIMIT if self.slo_aware else 0
         if pending_limit < 0:
@@ -202,7 +281,7 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
                 f"pending limit must be >= 0, got {pending_limit}"
             )
         self.pending_limit = pending_limit
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         #: Telemetry sink; the shared no-op unless the session wires a
         #: live one in (hot-path sites guard on ``telemetry.tracing``).
         self.telemetry = DISABLED
@@ -317,7 +396,7 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
             self.metrics.spilled += 1
             self.spill_device.enqueue(request, hook)
             return "spilled"
-        device = self.placement.select(request, online)
+        device = self.policy.select(request, online)
         if device is not None and device.can_accept():
             device.enqueue(request, hook)
             return "admitted"
@@ -469,13 +548,25 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
             entry = self._peek_pending()
             if entry is None:
                 break
-            device = self.placement.select(entry.request, online)
+            device = self.policy.select(entry.request, online)
             if device is None or not device.can_accept():
                 break
             self._pop_pending()
             device.enqueue(entry.request, entry.on_complete)
         if self.drain_mode:
             self.flush_batches()
+
+    def flush(self) -> None:
+        """Flush every device's partially-filled batch immediately.
+
+        Called when an arrival stream ends: buffered submissions must
+        not wait on a batch timer that will never be joined by further
+        arrivals.  Also arms drain mode, so pending work dispatched
+        *after* this point (pump, migration) keeps flushing instead of
+        stranding in a timer-less batch buffer.
+        """
+        self.drain_mode = True
+        self.flush_batches()
 
     def flush_batches(self) -> None:
         """Ring every device's doorbell for whatever is batched."""
@@ -541,3 +632,66 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
                 "req": request.trace_id, "device": device.name,
                 "lat_us": latency_ns / 1000.0, "missed": missed,
             })
+
+    # -- reporting -------------------------------------------------------------
+
+    def report(self, duration_ns: float | None = None) -> ServiceReport:
+        """Summarize the run; ``duration_ns`` defaults to now."""
+        metrics = self.metrics
+        log = metrics.log
+        # Views are built one at a time and dropped once summarized,
+        # so the report never holds two copies of every latency.
+        summary = LatencyRecorder(log.latency_ns).summary_us()
+        breakdown = log.grouped(log.tenant, log.placement).breakdown(
+            ("tenant", "placement"))
+        op_breakdown = log.grouped(log.op, log.placement).breakdown(
+            ("op", "placement"))
+        by_slo = log.grouped(log.slo)
+        per_device = []
+        for device in self.devices + (
+                [self.spill_device] if self.spill_device else []):
+            per_device.append({
+                "device": device.name,
+                "placement": device.placement.value,
+                "state": device.state.value,
+                "speed": device.speed_factor,
+                "completed": device.completed,
+                "peak_inflight": device.peak_inflight,
+                "batches": device.batches_submitted,
+                "engine_gbps": device.throughput.gbps(),
+            })
+        slo_breakdown = []
+        for name, stats in sorted(metrics.slo.items(),
+                                  key=lambda kv: (kv[1].tier, kv[0])):
+            latency = by_slo.summary_us((name,))
+            slo_breakdown.append({
+                "slo": name,
+                "tier": stats.tier,
+                "completed": stats.completed,
+                "missed": stats.missed,
+                "shed": stats.shed,
+                "infeasible": stats.infeasible,
+                "miss_rate": stats.miss_rate,
+                "p50_us": latency["p50_us"],
+                "p99_us": latency["p99_us"],
+            })
+        return ServiceReport(
+            policy=self.policy.name,
+            duration_ns=duration_ns if duration_ns is not None
+            else self.sim.now,
+            offered=metrics.offered,
+            completed=metrics.completed,
+            spilled=metrics.spilled,
+            shed=metrics.shed,
+            migrated=metrics.migrated,
+            completed_bytes=metrics.completed_bytes,
+            window_bytes=metrics.window_bytes,
+            mean_us=summary["mean_us"],
+            p50_us=summary["p50_us"],
+            p95_us=summary["p95_us"],
+            p99_us=summary["p99_us"],
+            breakdown=breakdown,
+            op_breakdown=op_breakdown,
+            slo_breakdown=slo_breakdown,
+            per_device=per_device,
+        )

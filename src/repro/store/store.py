@@ -1,7 +1,7 @@
 """The compressed block store: GET/PUT serving over the offload fleet.
 
 This is the tier that closes the paper's read-path loop.  Writes
-compress through the :class:`~repro.service.offload.OffloadService`
+compress through the :class:`~repro.service.scheduler.SchedulerCore`
 (``op="compress"``) and pack their compressed extents into fixed-size
 segments via :class:`~repro.store.blockmap.BlockMap`.  Reads first
 probe the decompressed-block cache
@@ -26,13 +26,13 @@ from typing import Callable
 from repro.errors import StoreError
 from repro.service.fleet import FleetDevice
 from repro.service.model import ModeledCost
-from repro.service.offload import OffloadService, ServiceReport
 from repro.service.request import (
     INTERACTIVE,
     THROUGHPUT,
     OffloadRequest,
     SloClass,
 )
+from repro.service.scheduler import SchedulerCore, ServiceReport
 from repro.sim.engine import Simulator
 from repro.sim.stats import LatencyRecorder
 from repro.store.blockmap import BlockMap
@@ -141,7 +141,7 @@ class CompressedBlockStore:
     capacity.
     """
 
-    def __init__(self, sim: Simulator, service: OffloadService,
+    def __init__(self, sim: Simulator, scheduler: SchedulerCore,
                  cache: BlockCache, *,
                  block_bytes: int = 65536,
                  segment_bytes: int | None = None,
@@ -154,7 +154,7 @@ class CompressedBlockStore:
         if block_bytes <= 0:
             raise StoreError(f"block size must be > 0, got {block_bytes}")
         self.sim = sim
-        self.service = service
+        self.scheduler = scheduler
         self.cache = cache
         self.read_slo = read_slo
         self.write_slo = write_slo
@@ -248,8 +248,8 @@ class CompressedBlockStore:
             if on_done is not None:
                 on_done("dropped")
 
-        return self.service.submit(request, on_complete=completed,
-                                   on_drop=dropped)
+        return self.scheduler.submit(request, on_complete=completed,
+                                     on_drop=dropped)
 
     # -- read path --------------------------------------------------------------
 
@@ -336,7 +336,7 @@ class CompressedBlockStore:
         request = OffloadRequest(tenant=tenant, nbytes=self.block_bytes,
                                  ratio=compressed_len / self.block_bytes,
                                  op="decompress", slo=self.read_slo)
-        self.service.submit(
+        self.scheduler.submit(
             request,
             on_complete=partial(self._decompress_completed, block),
             on_drop=partial(self._decompress_dropped, block))
@@ -387,7 +387,7 @@ class CompressedBlockStore:
     def report(self, duration_ns: float | None = None) -> StoreReport:
         metrics = self.metrics
         reads = metrics.read_latency.summary_us()
-        service_report = self.service.report(duration_ns=duration_ns)
+        service_report = self.scheduler.report(duration_ns=duration_ns)
 
         def miss_rate(slo_name: str) -> float:
             return next((row["miss_rate"]
@@ -395,7 +395,7 @@ class CompressedBlockStore:
                          if row["slo"] == slo_name), 0.0)
 
         return StoreReport(
-            policy=self.service.policy.name,
+            policy=self.scheduler.policy.name,
             duration_ns=duration_ns if duration_ns is not None
             else self.sim.now,
             reads=metrics.reads,

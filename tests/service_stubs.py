@@ -11,8 +11,8 @@ from repro.hw.engine import CdpuDevice, Placement
 from repro.service import (
     DeviceCostModel,
     FleetDevice,
-    OffloadService,
     RatioAnchor,
+    SchedulerCore,
     build_fleet,
 )
 from repro.sim.engine import Simulator
@@ -60,7 +60,7 @@ def parts_cluster(pairs, policy="cost-model", *, cache_blocks=None,
     """
     sim = Simulator()
     members, _ = build_fleet(sim, pairs, **fleet_kwargs)
-    service = OffloadService(sim, members, policy)
+    service = SchedulerCore(sim, members, policy)
     store = None
     if cache_blocks is not None:
         store = CompressedBlockStore(sim, service, BlockCache(cache_blocks),

@@ -18,7 +18,7 @@ from pathlib import Path
 from service_stubs import StubDevice, flat_model
 from repro.cluster import Cluster
 from repro.cluster.clients import ClosedLoopClient, StoreClient
-from repro.service import FleetDevice, OffloadService
+from repro.service import FleetDevice, SchedulerCore
 from repro.sim.engine import Simulator
 from repro.store import BlockCache, CompressedBlockStore
 from repro.workloads import MixedStream
@@ -27,7 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 class ScriptedService:
-    """Stands in for :class:`OffloadService`: each submission's fate
+    """Stands in for :class:`SchedulerCore`: each submission's fate
     comes from ``script`` and every step is logged as ``(what, time)``.
 
     ``script(n)`` for the ``n``-th submission returns ``("shed", 0)``
@@ -110,12 +110,11 @@ class TestClosedLoopPacing:
         device = FleetDevice(sim, StubDevice(name="dev0"),
                              flat_model(engine_per_byte_ns=0.25),
                              queue_limit=4, batch_size=1)
-        service = OffloadService(sim, [device], "cost-model")
-        cluster = Cluster(sim, service)
+        scheduler = SchedulerCore(sim, [device], "cost-model")
+        cluster = Cluster(sim, scheduler)
         log = []
-        scheduler = service.scheduler
         pump = scheduler.pump
-        submit = service.submit
+        submit = scheduler.submit
 
         def logged_pump():
             log.append(("pump", sim.now))
@@ -130,7 +129,7 @@ class TestClosedLoopPacing:
             return submit(request, on_complete=completed, on_drop=on_drop)
 
         scheduler.pump = logged_pump
-        service.submit = logged_submit
+        scheduler.submit = logged_submit
         client = cluster.closed_loop(window=1, duration_ns=2000.0,
                                      request_sizes=(1000,), seed=3)
         cluster.run()

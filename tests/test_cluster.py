@@ -29,8 +29,8 @@ from repro.cluster.session import _DEVICE_BUILDERS
 from repro.errors import ClusterError, ClusterSpecError
 from repro.service import (
     FleetDevice,
-    OffloadService,
     OpenLoopStream,
+    SchedulerCore,
     SloClass,
 )
 from repro.sim.engine import Simulator
@@ -184,7 +184,7 @@ def stub_cluster(per_byte=(0.01, 0.1), queue_limit=4, policy="cost-model",
                          flat_model(engine_per_byte_ns=per_byte[i]),
                          queue_limit=queue_limit, batch_size=1)
              for i in range(len(per_byte))]
-    service = OffloadService(sim, fleet, policy, **service_kwargs)
+    service = SchedulerCore(sim, fleet, policy, **service_kwargs)
     return Cluster(sim, service)
 
 
@@ -304,7 +304,7 @@ class TestClusterSession:
             sim, StubDevice(name="dev0"),
             {"compress": flat_model(0.02), "decompress": flat_model(0.01)},
             queue_limit=16, batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         store = CompressedBlockStore(
             sim, service, BlockCache(8), block_bytes=1000,
             hit_overhead_ns=100.0, hit_per_byte_ns=0.0,
@@ -331,7 +331,7 @@ class TestClusterSession:
         fleet = [FleetDevice(sim, StubDevice(name="dev0"),
                              flat_model(0.01), queue_limit=16,
                              batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         spec = ClusterSpec(fleet=FleetSpec(devices=(DeviceSpec("dpzip"),)),
                            slo_mix=spec_mix)
         cluster = Cluster(sim, service, spec=spec)
@@ -346,7 +346,7 @@ class TestClusterSession:
         fleet = [FleetDevice(sim, StubDevice(name="dev0"),
                              flat_model(0.01), queue_limit=16,
                              batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         spec = ClusterSpec(fleet=FleetSpec(devices=(DeviceSpec("dpzip"),)),
                            slo_mix=spec_mix)
         cluster = Cluster(sim, service, spec=spec)
@@ -363,7 +363,7 @@ def stub_store_cluster(spec=None, cache_blocks=8, block_bytes=1000):
         sim, StubDevice(name="dev0"),
         {"compress": flat_model(0.02), "decompress": flat_model(0.01)},
         queue_limit=16, batch_size=1)]
-    service = OffloadService(sim, fleet, "cost-model")
+    service = SchedulerCore(sim, fleet, "cost-model")
     store = CompressedBlockStore(
         sim, service, BlockCache(cache_blocks), block_bytes=block_bytes,
         hit_overhead_ns=100.0, hit_per_byte_ns=0.0,
@@ -454,7 +454,7 @@ class TestReconfigSchedule:
         fleet = [FleetDevice(sim, StubDevice(name="dev0"),
                              flat_model(0.01), queue_limit=16,
                              batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         spec = ClusterSpec(
             fleet=FleetSpec(devices=(DeviceSpec("dpzip"),)),
             reconfig=(ReconfigEvent(at_ns=5e4, action="brown-out",
@@ -504,7 +504,7 @@ class TestReviewRegressions:
                              {"compress": flat_model(0.02),
                               "decompress": flat_model(0.01)},
                              queue_limit=16, batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         store = CompressedBlockStore(sim, service, BlockCache(8),
                                      block_bytes=1000)
         cluster = Cluster(sim, service, store=store)
@@ -521,7 +521,7 @@ class TestReviewRegressions:
                              {"compress": flat_model(0.02),
                               "decompress": flat_model(0.01)},
                              queue_limit=16, batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         store = CompressedBlockStore(sim, service, BlockCache(8),
                                      block_bytes=4096)
         cluster = Cluster(sim, service, store=store)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.engine import Placement
-from repro.service import FleetDevice, OffloadService
+from repro.service import FleetDevice, SchedulerCore
 from repro.service.request import (
     BEST_EFFORT,
     INTERACTIVE,
@@ -142,7 +142,7 @@ def _mixed_run(seed: int = 7):
             ("chip", Placement.ON_CHIP, 0.05),
             ("ssd", Placement.IN_STORAGE, 0.11))
     ]
-    service = OffloadService(sim, fleet, "round-robin")
+    service = SchedulerCore(sim, fleet, "round-robin")
     overall = LatencyRecorder()
     by_tenant = KeyedLatencyRecorder()
     by_op = KeyedLatencyRecorder()
@@ -207,11 +207,11 @@ class TestCompletionLog:
     def test_negative_latency_still_rejected(self):
         sim = Simulator()
         device = FleetDevice(sim, StubDevice(), flat_model())
-        service = OffloadService(sim, [device], "round-robin")
+        service = SchedulerCore(sim, [device], "round-robin")
         request = OffloadRequest(tenant=0, nbytes=64)
         request.arrival_ns = 5.0
         with pytest.raises(ValueError, match="negative latency"):
-            service.scheduler._record_completion(request, device, None)
+            service._record_completion(request, device, None)
 
 
 # -- the views' fast paths ------------------------------------------------------

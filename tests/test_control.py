@@ -12,7 +12,7 @@ from repro.service import (
     FleetController,
     FleetDevice,
     OffloadRequest,
-    OffloadService,
+    SchedulerCore,
 )
 from repro.sim.engine import Simulator
 
@@ -28,7 +28,7 @@ def two_device_service(sim, policy="deadline", queue_limit=4, **kwargs):
         FleetDevice(sim, StubDevice(name="b"), flat_model(0.02),
                     queue_limit=queue_limit, batch_size=1),
     ]
-    service = OffloadService(sim, fleet, policy, **kwargs)
+    service = SchedulerCore(sim, fleet, policy, **kwargs)
     return service, fleet
 
 
@@ -67,7 +67,7 @@ class TestHotplug:
         sim = Simulator()
         device = FleetDevice(sim, StubDevice(name="a"), flat_model(0.01),
                              queue_limit=1, batch_size=1)
-        service = OffloadService(sim, [device], "deadline")
+        service = SchedulerCore(sim, [device], "deadline")
         controller = FleetController(service)
         service.submit(request())
         assert service.submit(request()) == "queued"
@@ -75,7 +75,7 @@ class TestHotplug:
                             queue_limit=4, batch_size=1)
         controller.hotplug(extra)
         # The pending request dispatched onto the new member at once.
-        assert service.scheduler.pending == 0
+        assert service.pending == 0
         assert extra.inflight == 1
         sim.run()
         assert service.metrics.completed == 2
@@ -129,7 +129,7 @@ class TestUnplug:
         a = FleetDevice(sim, StubDevice(name="a"), flat_model(0.01),
                         queue_limit=8, batch_size=8,
                         batch_timeout_ns=None)
-        service = OffloadService(sim, [a], "cost-model")
+        service = SchedulerCore(sim, [a], "cost-model")
         for _ in range(3):
             service.submit(request())
         assert a.batcher.pending == 3
@@ -148,7 +148,7 @@ class TestUnplug:
                         batch_timeout_ns=1e9)
         b = FleetDevice(sim, StubDevice(name="b"), flat_model(1.0),
                         queue_limit=8, batch_size=1)
-        service = OffloadService(sim, [a, b], "cost-model")
+        service = SchedulerCore(sim, [a, b], "cost-model")
         for _ in range(3):
             service.submit(request())
         assert a.batcher.pending == 3
@@ -173,8 +173,8 @@ class TestUnplug:
         spill = FleetDevice(
             sim, StubDevice(name="cpu", placement=Placement.CPU_SOFTWARE),
             flat_model(0.5), queue_limit=16, batch_size=1)
-        service = OffloadService(sim, [a, b], "cost-model",
-                                 spill_device=spill)
+        service = SchedulerCore(sim, [a, b], "cost-model",
+                                spill_device=spill)
         service.submit(request())            # lands on a's buffer
         service.submit(request(nbytes=10))   # fills b
         assert b.inflight == 1
@@ -276,7 +276,7 @@ class TestPowerCap:
             FleetDevice(sim, StubDevice(name="qat4xxx"), flat_model(0.02),
                         queue_limit=4, batch_size=1),
         ]
-        return OffloadService(sim, fleet, "cost-model"), fleet
+        return SchedulerCore(sim, fleet, "cost-model"), fleet
 
     def test_power_cap_derates_fleet_to_budget(self):
         sim = Simulator()
@@ -302,7 +302,7 @@ class TestPowerCap:
         fleet = [FleetDevice(sim, StubDevice(name="dpzip"),
                              flat_model(0.01), queue_limit=4, batch_size=1)
                  for _ in range(2)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         controller = FleetController(service)
         demand = controller.fleet_active_w()
         assert demand == {"dpzip": 2.5, "dpzip#2": 2.5}
@@ -315,7 +315,7 @@ class TestPowerCap:
         fleet = [FleetDevice(sim, StubDevice(name="dpzip"),
                              flat_model(0.01), queue_limit=4, batch_size=1)
                  for _ in range(2)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         with pytest.raises(ServiceError, match="ambiguous"):
             FleetController(service).brown_out("dpzip", 0.5)
 
@@ -358,7 +358,7 @@ class TestUtilizationUnderReconfiguration:
         spill = FleetDevice(
             sim, StubDevice(name="cpu", placement=Placement.CPU_SOFTWARE),
             flat_model(0.5), queue_limit=16, batch_size=1)
-        service = OffloadService(sim, [a], "deadline", spill_device=spill)
+        service = SchedulerCore(sim, [a], "deadline", spill_device=spill)
         FleetController(service).unplug("a", drain=True)
         assert service.submit(request()) == "spilled"
         sim.run()
@@ -369,14 +369,14 @@ class TestUtilizationUnderReconfiguration:
         sim = Simulator()
         a = FleetDevice(sim, StubDevice(name="a"), flat_model(1.0),
                         queue_limit=1, batch_size=1)
-        service = OffloadService(sim, [a], "deadline")
+        service = SchedulerCore(sim, [a], "deadline")
         FleetController(service).unplug("a", drain=True)
         dropped = []
         assert service.submit(request(),
                               on_drop=lambda req: dropped.append(req)) \
             == "shed"
         assert len(dropped) == 1
-        assert service.scheduler.pending == 0
+        assert service.pending == 0
 
     def test_pending_drains_through_spill_when_fleet_vanishes(self):
         sim = Simulator()
@@ -385,15 +385,15 @@ class TestUtilizationUnderReconfiguration:
         spill = FleetDevice(
             sim, StubDevice(name="cpu", placement=Placement.CPU_SOFTWARE),
             flat_model(0.5), queue_limit=16, batch_size=1)
-        service = OffloadService(sim, [a], "deadline", spill_device=spill)
+        service = SchedulerCore(sim, [a], "deadline", spill_device=spill)
         service.submit(request())
         assert service.submit(request()) == "queued"
         controller = FleetController(service)
         controller.unplug("a", drain=True)
         # Draining removed the only online member; the pending request
         # must leave through the CPU-spill path instead of starving.
-        service.scheduler.pump()
-        assert service.scheduler.pending == 0
+        service.pump()
+        assert service.pending == 0
         assert service.metrics.spilled == 1
         sim.run()
         assert service.metrics.completed == 2

@@ -308,7 +308,7 @@ class TestCostModelMemo:
                          DeviceSpec("qat4xxx", name="b")),
                 ops=("compress", "decompress")))
         cluster = Cluster.from_spec(spec)
-        first, second = cluster.service.scheduler.devices
+        first, second = cluster.scheduler.devices
         for op in ("compress", "decompress"):
             assert first.model_for(op) is second.model_for(op)
             assert first.models[op] is second.models[op]

@@ -38,6 +38,7 @@ from repro.errors import (
     FederationSpecError,
     SweepError,
     SweepSpecError,
+    TelemetryError,
     WorkloadError,
 )
 from repro.federation import (
@@ -356,6 +357,13 @@ class TestFederationRun:
         federation.run()
         with pytest.raises(FederationError, match="already ran"):
             federation.run()
+
+    def test_interval_beyond_horizon_names_the_remedy(self):
+        spec = cheap_federation(
+            telemetry=TelemetrySpec(metrics_interval_ns=5e5))
+        with pytest.raises(TelemetryError,
+                           match="metrics_interval_ns.*shorten the interval"):
+            Federation.from_spec(spec).run()
 
 
 # -- scripted dispatch workers -------------------------------------------------

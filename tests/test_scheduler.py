@@ -22,8 +22,8 @@ from repro.service import (
     AdmissionController,
     FleetDevice,
     OffloadRequest,
-    OffloadService,
     OpenLoopStream,
+    SchedulerCore,
     SloClass,
     make_policy,
     make_slo_class,
@@ -101,8 +101,8 @@ def one_device_service(sim, policy="deadline", engine_per_byte=1.0,
     device = FleetDevice(sim, StubDevice(name="only"),
                          flat_model(engine_per_byte_ns=engine_per_byte),
                          queue_limit=1, batch_size=1)
-    service = OffloadService(sim, [device], policy,
-                             pending_limit=pending_limit, **kwargs)
+    service = SchedulerCore(sim, [device], policy,
+                            pending_limit=pending_limit, **kwargs)
     return service, device
 
 
@@ -112,11 +112,11 @@ class TestPendingQueue:
         service, device = one_device_service(sim)
         assert service.submit(request()) == "admitted"
         assert service.submit(request()) == "queued"
-        assert service.scheduler.pending == 1
+        assert service.pending == 1
         sim.run()
         assert service.metrics.completed == 2
         assert service.metrics.shed == 0
-        assert service.scheduler.pending == 0
+        assert service.pending == 0
 
     def test_flat_policy_keeps_zero_pending_limit(self):
         # Back-compat: without an SLO-aware policy the pending queue is
@@ -125,7 +125,7 @@ class TestPendingQueue:
         service, _ = one_device_service(sim, policy="cost-model")
         assert service.submit(request(slo=INTERACTIVE)) == "admitted"
         assert service.submit(request(slo=INTERACTIVE)) == "shed"
-        assert service.scheduler.pending_limit == 0
+        assert service.pending_limit == 0
 
     def test_edf_order_within_tier(self):
         sim = Simulator()
@@ -188,16 +188,15 @@ class TestPendingQueue:
         assert service.submit(request(slo=BEST_EFFORT)) == "admitted"
         for _ in range(40):
             assert service.submit(request(slo=BEST_EFFORT)) == "queued"
-        core = service.scheduler
-        assert len(core._heap) == 40
+        assert len(service._heap) == 40
         # Every interactive arrival evicts one parked best-effort entry
         # and parks itself; 40 evictions cross the compaction trigger.
         for _ in range(40):
             assert service.submit(request(slo=INTERACTIVE)) == "queued"
-        assert core.pending == 40
-        assert core._cancelled_count == 0
-        assert len(core._heap) == 40
-        assert all(not item[3].cancelled for item in core._heap)
+        assert service.pending == 40
+        assert service._cancelled_count == 0
+        assert len(service._heap) == 40
+        assert all(not item[3].cancelled for item in service._heap)
         assert service.metrics.shed == 40
         sim.run()
         # Dispatch after compaction still drains every live entry.
@@ -223,7 +222,7 @@ class TestPendingQueue:
         controller = AdmissionController(spill_threshold=0.0,
                                          shed_threshold=0.0)
         controller.decide(1.0)
-        service.scheduler.admission = controller
+        service.admission = controller
         assert service.submit(request(slo=INTERACTIVE)) == "queued"
         assert dropped == ["be"]
         # ...but an arrival with nothing below it still sheds.
@@ -238,13 +237,13 @@ class TestPendingQueue:
         device = FleetDevice(sim, StubDevice(), flat_model(1.0),
                              queue_limit=1, batch_size=4,
                              batch_timeout_ns=None)
-        service = OffloadService(sim, [device], "deadline")
+        service = SchedulerCore(sim, [device], "deadline")
         for _ in range(4):
             service.submit(request())
         service.flush()  # the stream has ended
         sim.run()
         assert service.metrics.completed == 4
-        assert service.scheduler.pending == 0
+        assert service.pending == 0
 
     def test_on_drop_fires_on_synchronous_shed(self):
         sim = Simulator()
@@ -263,7 +262,7 @@ class TestDeadlineAccounting:
         device = FleetDevice(sim, StubDevice(),
                              flat_model(engine_per_byte_ns=1.0),
                              queue_limit=4, batch_size=1)
-        service = OffloadService(sim, [device], "cost-model")
+        service = SchedulerCore(sim, [device], "cost-model")
         tight = SloClass("tight", tier=0, deadline_ns=500.0)
         loose = SloClass("loose", tier=1, deadline_ns=1e9)
         service.submit(request(nbytes=1000, slo=tight))  # 1000 ns > 500
@@ -387,8 +386,8 @@ class TestDeadlineFeasibilitySpill:
                 sim, StubDevice(name="cpu"),
                 flat_model(engine_per_byte_ns=engine_per_byte),
                 queue_limit=64, batch_size=1)
-        service = OffloadService(sim, [device], "cost-model",
-                                 spill_device=spill_device, **kwargs)
+        service = SchedulerCore(sim, [device], "cost-model",
+                                spill_device=spill_device, **kwargs)
         return service, device, spill_device
 
     def test_infeasible_deadline_spills_immediately(self):

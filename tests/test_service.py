@@ -19,9 +19,9 @@ from repro.service import (
     DeviceCostModel,
     FleetDevice,
     OffloadRequest,
-    OffloadService,
     OpenLoopStream,
     RatioAnchor,
+    SchedulerCore,
     StaticPinning,
     calibrated_ops,
     default_fleet,
@@ -204,7 +204,7 @@ class TestMixedOpService:
         # queueing behind the interleaved other-op requests.
         fleet = [FleetDevice(sim, StubDevice(engines=10), {
             "compress": flat_model(0.1), "decompress": flat_model(0.01)})]
-        service = OffloadService(sim, fleet, policy="cost-model")
+        service = SchedulerCore(sim, fleet, policy="cost-model")
         for index in range(10):
             if index % 2:
                 service.submit(self._decomp_request())
@@ -221,7 +221,7 @@ class TestMixedOpService:
     def test_placement_shares_sum_to_one(self):
         sim = Simulator()
         fleet = make_fleet(sim)
-        service = OffloadService(sim, fleet, policy="round-robin")
+        service = SchedulerCore(sim, fleet, policy="round-robin")
         for _ in range(8):
             service.submit(request())
         sim.run()
@@ -458,7 +458,7 @@ class TestBackpressure:
         fleet = [FleetDevice(sim, StubDevice(),
                              flat_model(engine_per_byte_ns=1.0),
                              queue_limit=2)]
-        service = OffloadService(sim, fleet, policy="static")
+        service = SchedulerCore(sim, fleet, policy="static")
         outcomes = [service.submit(request()) for _ in range(5)]
         assert outcomes == ["admitted", "admitted", "shed", "shed", "shed"]
         assert service.metrics.shed == 3
@@ -472,8 +472,8 @@ class TestBackpressure:
         spill = FleetDevice(
             sim, StubDevice(name="cpu", placement=Placement.CPU_SOFTWARE),
             flat_model(engine_per_byte_ns=0.5), queue_limit=8)
-        service = OffloadService(sim, fleet, policy="static",
-                                 spill_device=spill)
+        service = SchedulerCore(sim, fleet, policy="static",
+                                spill_device=spill)
         outcomes = [service.submit(request()) for _ in range(3)]
         assert outcomes == ["admitted", "spilled", "spilled"]
         sim.run()
@@ -492,8 +492,8 @@ class TestBackpressure:
         spill = FleetDevice(
             sim, StubDevice(name="cpu", placement=Placement.CPU_SOFTWARE),
             flat_model(engine_per_byte_ns=0.5), queue_limit=8)
-        service = OffloadService(sim, fleet, policy="cost-model",
-                                 spill_device=spill)
+        service = SchedulerCore(sim, fleet, policy="cost-model",
+                                spill_device=spill)
         outcomes = [service.submit(request()) for _ in range(4)]
         assert outcomes == ["admitted", "admitted", "spilled", "spilled"]
         sim.run()
@@ -506,8 +506,8 @@ class TestBackpressure:
         spill = FleetDevice(
             sim, StubDevice(name="cpu", placement=Placement.CPU_SOFTWARE),
             flat_model(engine_per_byte_ns=0.5), queue_limit=1)
-        service = OffloadService(sim, fleet, policy="cost-model",
-                                 spill_device=spill)
+        service = SchedulerCore(sim, fleet, policy="cost-model",
+                                spill_device=spill)
         outcomes = [service.submit(request()) for _ in range(4)]
         assert outcomes == ["admitted", "admitted", "spilled", "shed"]
         assert service.metrics.shed == 1
@@ -531,7 +531,7 @@ class TestAdmission:
         spill = FleetDevice(
             sim, StubDevice(name="cpu", placement=Placement.CPU_SOFTWARE),
             flat_model(), queue_limit=64)
-        service = OffloadService(
+        service = SchedulerCore(
             sim, fleet, policy="cost-model",
             admission=AdmissionController(spill_threshold=0.0,
                                           shed_threshold=2.0),
@@ -546,7 +546,7 @@ class TestAdmission:
     def test_shed_threshold_drops_requests(self):
         sim = Simulator()
         fleet = [FleetDevice(sim, StubDevice(), flat_model(), queue_limit=8)]
-        service = OffloadService(
+        service = SchedulerCore(
             sim, fleet, policy="cost-model",
             admission=AdmissionController(spill_threshold=0.0,
                                           shed_threshold=0.0))
@@ -618,8 +618,8 @@ class TestAdmission:
                                          ewma_alpha=0.2)
         controller.observe(1.0)  # saturated by a previous sweep run
         sim = Simulator()
-        OffloadService(sim, make_fleet(sim), policy="cost-model",
-                       admission=controller)
+        SchedulerCore(sim, make_fleet(sim), policy="cost-model",
+                      admission=controller)
         assert controller.smoothed == 0.0
 
 
@@ -685,7 +685,7 @@ class TestOpenLoopService:
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ServiceError):
-            OffloadService(Simulator(), [], policy="static")
+            SchedulerCore(Simulator(), [], policy="static")
 
 
 class TestMixedFleetIntegration:

@@ -16,7 +16,7 @@ from repro.hw.engine import Placement
 from repro.service import (
     AdmissionController,
     FleetDevice,
-    OffloadService,
+    SchedulerCore,
     SloClass,
 )
 from repro.sim.engine import Simulator
@@ -33,8 +33,8 @@ def make_store(sim, cache_blocks=4, read_per_byte=0.01, write_per_byte=0.02,
                admission=None, **store_kwargs):
     fleet = [FleetDevice(sim, StubDevice(),
                          op_models(read_per_byte, write_per_byte))]
-    service = OffloadService(sim, fleet, policy="cost-model",
-                             admission=admission)
+    service = SchedulerCore(sim, fleet, policy="cost-model",
+                            admission=admission)
     store_kwargs.setdefault("block_bytes", 1000)
     store_kwargs.setdefault("hit_overhead_ns", 100.0)
     store_kwargs.setdefault("hit_per_byte_ns", 0.0)
@@ -206,7 +206,7 @@ class TestStoreServing:
         sim.run()
         assert store.metrics.hit_latency.samples == [100.0]
         # The fleet never saw a decompress request.
-        assert store.service.metrics.offered == 1
+        assert store.scheduler.metrics.offered == 1
 
     def test_get_miss_decompresses_through_fleet(self):
         sim = Simulator()
@@ -216,7 +216,7 @@ class TestStoreServing:
         sim.run()
         # decompress priced by the read model: 0.01 ns/B * 1000 B.
         assert store.metrics.miss_latency.samples == [pytest.approx(10.0)]
-        ops = {row["op"] for row in store.service.report().op_breakdown}
+        ops = {row["op"] for row in store.scheduler.report().op_breakdown}
         assert ops == {"decompress"}
         # The block is now cached; the next read hits.
         assert store.get(block=5, tenant=0) == "hit"
@@ -231,7 +231,7 @@ class TestStoreServing:
         assert store.metrics.coalesced_reads == 1
         assert store.metrics.read_latency.count == 2
         # Only one decompress went to the fleet for both readers.
-        assert store.service.metrics.offered == 1
+        assert store.scheduler.metrics.offered == 1
 
     def test_get_unmapped_block_rejected(self):
         sim = Simulator()
@@ -350,7 +350,7 @@ class TestStoreSloClasses:
         sim = Simulator()
         fleet = [FleetDevice(sim, StubDevice(), op_models(0.5, 0.5),
                              queue_limit=1, batch_size=1)]
-        service = OffloadService(sim, fleet, policy="deadline")
+        service = SchedulerCore(sim, fleet, policy="deadline")
         store = CompressedBlockStore(
             sim, service, BlockCache(0), block_bytes=1000,
             hit_overhead_ns=100.0, hit_per_byte_ns=0.0,
