@@ -486,11 +486,18 @@ class Cluster:
             telemetry_report.objectives = self._objectives()
             if profiler is not None:
                 telemetry_report.host_sections = list(profiler.sections)
+        # A store report carries the service report it was built on;
+        # reuse it rather than grouping the completion log again.
+        store = None
+        if self.store is not None:
+            store = self.store.report(duration_ns=horizon)
+            service = store.service
+        else:
+            service = self.scheduler.report(duration_ns=horizon)
         return RunResult(
             duration_ns=horizon,
-            service=self.scheduler.report(duration_ns=horizon),
-            store=(self.store.report(duration_ns=horizon)
-                   if self.store is not None else None),
+            service=service,
+            store=store,
             clients=[client.row() for client in self._clients],
             telemetry=telemetry_report,
             wall_profile=(profiler.profile()

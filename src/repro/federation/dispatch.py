@@ -8,10 +8,12 @@ from the spec, so the driver writes results through ``point.index``
 and the rows are byte-identical to the inline runner whatever the
 worker count, join order or mid-run worker death.
 
-A keyed :class:`~multiprocessing.connection.Listener` runs an HMAC
-challenge-response before any message is unpickled, so a peer without
-the key never gets its bytes decoded.  Local workers get a fresh random
-key per run; remote workers share ``REPRO_WORKER_KEY`` with the driver.
+Workers run the HMAC challenge-response of
+:mod:`multiprocessing.connection` before any message is unpickled, so a
+peer without the key never gets its bytes decoded, and a peer that
+stalls in the exchange is dropped after :data:`HANDSHAKE_TIMEOUT_S`.
+Local workers get a fresh random key per run; remote workers share
+``REPRO_WORKER_KEY`` with the driver.
 Messages are pickled tuples tagged by their first element::
 
     ("hello", PROTOCOL_VERSION)        worker -> driver, on connect
@@ -32,13 +34,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket
+import struct
 import threading
 from collections import deque
 from contextlib import contextmanager
 from multiprocessing.connection import (
     AuthenticationError,
     Connection,
-    Listener,
     answer_challenge,
     deliver_challenge,
 )
@@ -64,6 +66,10 @@ PROTOCOL_VERSION = 2
 
 #: Environment variable holding the key remote workers and drivers share.
 KEY_ENV = "REPRO_WORKER_KEY"
+
+#: Seconds a worker waits on each read or write of a connecting peer's
+#: challenge exchange before dropping the peer.
+HANDSHAKE_TIMEOUT_S = 5.0
 
 
 def worker_key() -> bytes:
@@ -135,18 +141,48 @@ def _serve_session(conn: Connection, heartbeat_interval_s: float) -> None:
         conn.close()
 
 
-def _serve(listener: Listener, max_sessions: int | None,
-           heartbeat_interval_s: float) -> None:
-    """Serve driver sessions one at a time, then close ``listener``.
+def _io_timeout(sock: socket.socket, seconds: float) -> None:
+    """Bound each blocking read and write on ``sock`` (0 = no bound)."""
+    whole = int(seconds)
+    value = struct.pack("ll", whole, int((seconds - whole) * 1e6))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, value)
 
-    A peer that fails the handshake is dropped without counting as a
-    session; nothing it sent was unpickled.
+
+def _accept(server: socket.socket, authkey: bytes) -> Connection:
+    """Accept one peer and run the challenge exchange with it.
+
+    The exchange is the one ``Listener.accept()`` runs, but a read or
+    write that stalls past :data:`HANDSHAKE_TIMEOUT_S` raises
+    ``OSError`` instead of blocking the worker for good.
+    """
+    sock, _ = server.accept()
+    with sock:
+        sock.setblocking(True)  # Connection reads the raw descriptor
+        _io_timeout(sock, HANDSHAKE_TIMEOUT_S)
+        conn = Connection(os.dup(sock.fileno()))
+        try:
+            deliver_challenge(conn, authkey)
+            answer_challenge(conn, authkey)
+        except BaseException:
+            conn.close()
+            raise
+        _io_timeout(sock, 0.0)
+    return conn
+
+
+def _serve(server: socket.socket, authkey: bytes,
+           max_sessions: int | None, heartbeat_interval_s: float) -> None:
+    """Serve driver sessions one at a time, then close ``server``.
+
+    A peer that fails or stalls the handshake is dropped without
+    counting as a session; nothing it sent was unpickled.
     """
     sessions = 0
-    with listener:
+    with server:
         while max_sessions is None or sessions < max_sessions:
             try:
-                conn = listener.accept()
+                conn = _accept(server, authkey)
             except (AuthenticationError, EOFError, OSError):
                 continue
             sessions += 1
@@ -164,13 +200,13 @@ def serve_worker(host: str = "127.0.0.1", port: int = 0, *,
     the bound port once the listener is up.  ``max_sessions=None``
     serves forever.  Returns the bound port.
     """
-    if not authkey:  # Listener treats a missing key as "no handshake"
+    if not authkey:
         raise DispatchError("a sweep worker needs a non-empty authkey")
-    listener = Listener((host, port), authkey=authkey)
-    bound = listener.address[1]
+    server = socket.create_server((host, port))
+    bound = server.getsockname()[1]
     if ready is not None:
         ready(bound)
-    _serve(listener, max_sessions, heartbeat_interval_s)
+    _serve(server, authkey, max_sessions, heartbeat_interval_s)
     return bound
 
 
@@ -199,13 +235,14 @@ def spawn_local_workers(count: int, *,
     processes, hosts = [], []
     try:
         for _ in range(count):
-            with Listener(("127.0.0.1", 0), authkey=authkey) as listener:
+            with socket.create_server(("127.0.0.1", 0)) as server:
                 process = context.Process(
                     target=_serve,
-                    args=(listener, 1, heartbeat_interval_s), daemon=True)
+                    args=(server, authkey, 1, heartbeat_interval_s),
+                    daemon=True)
                 process.start()
                 processes.append(process)
-                hosts.append(listener.address)
+                hosts.append(server.getsockname())
             # Leaving the block closes the parent's copy only.
         yield hosts, authkey
     finally:

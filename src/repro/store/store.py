@@ -387,6 +387,7 @@ class CompressedBlockStore:
     def report(self, duration_ns: float | None = None) -> StoreReport:
         metrics = self.metrics
         reads = metrics.read_latency.summary_us()
+        write_latency = metrics.write_latency.summary_us()
         service_report = self.scheduler.report(duration_ns=duration_ns)
 
         def miss_rate(slo_name: str) -> float:
@@ -411,8 +412,8 @@ class CompressedBlockStore:
             read_p99_us=reads["p99_us"],
             hit_p99_us=metrics.hit_latency.summary_us()["p99_us"],
             miss_p99_us=metrics.miss_latency.summary_us()["p99_us"],
-            write_p50_us=metrics.write_latency.summary_us()["p50_us"],
-            write_p99_us=metrics.write_latency.summary_us()["p99_us"],
+            write_p50_us=write_latency["p50_us"],
+            write_p99_us=write_latency["p99_us"],
             window_read_bytes=metrics.window_read_bytes,
             window_write_bytes=metrics.window_write_bytes,
             compression_ratio=self.blockmap.compression_ratio(

@@ -20,6 +20,7 @@ rides home on the :class:`~repro.cluster.result.RunResult`.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -164,21 +165,39 @@ class Telemetry:
         )
 
 
+class _ScopedTracks(dict):
+    """``track -> prefix + track``, each name built once and interned."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, track: str) -> str:
+        scoped = self[track] = sys.intern(self.prefix + track)
+        return scoped
+
+
 class ScopedTelemetry(Telemetry):
     """A track-prefixing view over a root :class:`Telemetry`.
 
     Shares the root's recorder, registry and id counter (ids stay
     globally monotonic across every scope), rewriting only the track
-    names.  Build via :meth:`Telemetry.scoped`.
+    names.  Each prefixed track name is built once and interned, so
+    every span on a track shares one string (also across scope views
+    that resolve to the same prefix).  Build via
+    :meth:`Telemetry.scoped`.
     """
 
-    __slots__ = ("_root", "_prefix")
+    __slots__ = ("_root", "_prefix", "_tracks")
 
     def __init__(self, root: Telemetry, prefix: str) -> None:
         # Deliberately no super().__init__: every slot is aliased to
         # the root so the hot-path guards read the same flags.
         self._root = root
         self._prefix = f"{prefix}/"
+        self._tracks = _ScopedTracks(self._prefix)
         self.tracing = root.tracing
         self.trace = root.trace
         self.metrics = root.metrics
@@ -188,12 +207,11 @@ class ScopedTelemetry(Telemetry):
 
     def span(self, track: str, name: str, start_ns: float,
              end_ns: float, args: dict | None = None) -> None:
-        self.trace.span(self._prefix + track, name, start_ns, end_ns,
-                        args)
+        self.trace.span(self._tracks[track], name, start_ns, end_ns, args)
 
     def instant(self, track: str, name: str, ts_ns: float,
                 args: dict | None = None) -> None:
-        self.trace.instant(self._prefix + track, name, ts_ns, args)
+        self.trace.instant(self._tracks[track], name, ts_ns, args)
 
     def scoped(self, prefix: str) -> "Telemetry":
         return self._root.scoped(f"{self._prefix}{prefix}")

@@ -31,56 +31,63 @@ DEFAULT_TRACE_CAPACITY = 262_144
 _PHASES = ("X", "i", "M", "C")
 
 
+def _event(record: tuple) -> tuple:
+    """The ``(ph, track, name, ts_ns, dur_ns, args)`` event a ring
+    record stores, with a fresh ``args`` dict."""
+    keys = record[5]
+    if keys is None:
+        return record  # an argument-less record is already the event
+    return (*record[:5], dict(zip(keys, record[6:])))
+
+
 class TraceEvents(Sequence):
     """Read-only sequence of ``(ph, track, name, ts_ns, dur_ns, args)``.
 
-    Stored as two aligned columns: ``heads``, the ``(ph, track, name,
-    ts_ns, dur_ns)`` tuples, and ``args``, each event's argument dict
-    (or ``None``).  A head holds only strings and numbers, so the cyclic
-    GC untracks it; a tuple holding the dict would stay tracked for
-    good.  Indexing and iteration yield the joined 6-tuples.
+    Backed by the recorder's flat records, one tuple per event:
+    ``(ph, track, name, ts_ns, dur_ns, keys, *values)``, where ``keys``
+    is the argument dict's key tuple (``None`` for no arguments).
+    Indexing and iteration rebuild the 6-tuples, each with a fresh
+    ``args`` dict; equality compares the rebuilt events.
     """
 
-    __slots__ = ("heads", "args")
+    __slots__ = ("records",)
 
-    def __init__(self, heads: Sequence[tuple] = (),
-                 args: Sequence[dict | None] = ()) -> None:
-        self.heads = heads
-        self.args = args
+    def __init__(self, records: Sequence[tuple] = ()) -> None:
+        self.records = records
 
     def __len__(self) -> int:
-        return len(self.heads)
+        return len(self.records)
 
     def __getitem__(self, index: int) -> tuple:
         if isinstance(index, slice):
             raise TypeError("TraceEvents does not support slicing")
-        return (*self.heads[index], self.args[index])
+        return _event(self.records[index])
 
     def __iter__(self) -> Iterator[tuple]:
-        for head, args in zip(self.heads, self.args):
-            yield (*head, args)
+        return map(_event, self.records)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceEvents):
             return NotImplemented
-        return (list(self.heads) == list(other.heads)
-                and list(self.args) == list(other.args))
+        return list(self) == list(other)
 
     def __reduce__(self):
-        return TraceEvents, (list(self.heads), list(self.args))
+        return TraceEvents, (list(self.records),)
 
 
 class TraceRecorder:
     """Bounded flight recorder of simulated-time trace events.
 
-    The ring is two aligned ``deque(maxlen=capacity)`` columns — event
-    heads and argument dicts — read together through :attr:`events`.
+    The ring is one ``deque(maxlen=capacity)`` of flat records, read
+    through :attr:`events`.  A record holds no dict: the argument
+    values sit inline after the dict's key tuple, and each distinct
+    key tuple is stored once per recorder, so an event costs one tuple.
     Recording never allocates beyond the cap, and under overflow the
-    *oldest* events fall out of both columns first — the
-    flight-recorder discipline (the tail of a run is what you debug).
+    *oldest* events fall out first — the flight-recorder discipline
+    (the tail of a run is what you debug).
     """
 
-    __slots__ = ("capacity", "recorded", "_heads", "_args")
+    __slots__ = ("capacity", "recorded", "_ring", "_keys")
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity < 1:
@@ -88,39 +95,51 @@ class TraceRecorder:
                 f"trace capacity must be >= 1, got {capacity}"
             )
         self.capacity = capacity
-        self._heads: collections.deque = collections.deque(maxlen=capacity)
-        self._args: collections.deque = collections.deque(maxlen=capacity)
+        self._ring: collections.deque = collections.deque(maxlen=capacity)
+        self._keys: dict[tuple, tuple] = {}
         self.recorded = 0
 
     @property
     def events(self) -> TraceEvents:
         """Live view of the retained events, oldest first."""
-        return TraceEvents(self._heads, self._args)
+        return TraceEvents(self._ring)
 
     def snapshot(self) -> TraceEvents:
-        """The retained events, copied out of the ring (the tuples and
-        dicts are shared, not rebuilt)."""
-        return TraceEvents(list(self._heads), list(self._args))
+        """The retained events, copied out of the ring (the records are
+        shared, not rebuilt)."""
+        return TraceEvents(list(self._ring))
 
     @property
     def dropped(self) -> int:
         """Events that fell out of the ring buffer."""
-        return self.recorded - len(self._heads)
+        return self.recorded - len(self._ring)
 
     def span(self, track: str, name: str, start_ns: float,
              end_ns: float, args: dict | None = None) -> None:
         """Record one complete span (``ph="X"``) on ``track``."""
         self.recorded += 1
-        self._heads.append(("X", track, name, start_ns,
-                            max(end_ns - start_ns, 0.0)))
-        self._args.append(args)
+        dur_ns = end_ns - start_ns
+        if dur_ns < 0.0:
+            dur_ns = 0.0
+        if args is None:
+            self._ring.append(("X", track, name, start_ns, dur_ns, None))
+        else:
+            keys = tuple(args)
+            keys = self._keys.setdefault(keys, keys)
+            self._ring.append(("X", track, name, start_ns, dur_ns, keys,
+                               *args.values()))
 
     def instant(self, track: str, name: str, ts_ns: float,
                 args: dict | None = None) -> None:
         """Record one instant event (``ph="i"``) on ``track``."""
         self.recorded += 1
-        self._heads.append(("i", track, name, ts_ns, 0.0))
-        self._args.append(args)
+        if args is None:
+            self._ring.append(("i", track, name, ts_ns, 0.0, None))
+        else:
+            keys = tuple(args)
+            keys = self._keys.setdefault(keys, keys)
+            self._ring.append(("i", track, name, ts_ns, 0.0, keys,
+                               *args.values()))
 
 
 def trace_document(events: Iterable[tuple], dropped: int = 0,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -121,7 +122,9 @@ class TenantPopulation:
             weights = [draw(spec.mu, spec.sigma)
                        for _ in range(spec.tenants)]
         total = 0.0
-        cumulative = []
+        # Raw doubles: a 10^5-entry table of float objects would cost
+        # ~2.4 MB more and sit in the cyclic GC's full collections.
+        cumulative = array("d")
         for weight in weights:
             total += weight
             cumulative.append(total)

@@ -1,4 +1,4 @@
-"""The columnar completion log and the two-column trace ring.
+"""The columnar completion log and the flat-record trace ring.
 
 The scheduler records each completion once into
 :class:`~repro.service.scheduler.CompletionLog`; the service derives
@@ -7,13 +7,15 @@ reports.  The oracle here feeds the same ``(key, latency)`` pairs,
 in completion order, through :meth:`KeyedLatencyRecorder.record` —
 the per-key recording the log replaced — and requires equal rows.
 
-The trace ring keeps event heads and argument dicts in two aligned
-columns behind a read-only :class:`~repro.telemetry.trace.TraceEvents`
-sequence; it must read exactly like the 6-tuples it used to store.
+The trace ring keeps one flat ``(ph, track, name, ts_ns, dur_ns, keys,
+*values)`` record per event behind a read-only
+:class:`~repro.telemetry.trace.TraceEvents` sequence; it must read
+exactly like a ``deque(maxlen)`` of the 6-tuples it used to store.
 Both stores exist to keep per-completion objects off the cyclic GC,
 which the last tests check directly.
 """
 
+import collections
 import gc
 import pickle
 import random
@@ -90,7 +92,7 @@ class TestTraceEvents:
         other = _recorder(4)
         other.instant("sched", "extra", 9.0)
         assert live != other.events
-        assert TraceEvents() == TraceEvents([], [])
+        assert TraceEvents() == TraceEvents([])
         assert (live == list(live)) is False
 
     def test_pickle_round_trip(self):
@@ -101,13 +103,17 @@ class TestTraceEvents:
             assert restored == events
             assert list(restored) == list(events)
 
-    def test_overflow_keeps_heads_and_args_aligned(self):
+    def test_overflow_drops_whole_records(self):
         recorder = _recorder(5, capacity=3)
         assert recorder.recorded == 5
         assert recorder.dropped == 2
         assert list(recorder.events) == [_expected(i) for i in (2, 3, 4)]
         snapshot = recorder.snapshot()
-        assert len(snapshot.heads) == len(snapshot.args) == 3
+        assert snapshot.records == [
+            ("X", "dev", "s2", 2.0, 2.5, None),
+            ("i", "sched", "i3", 3.0, 0.0, ("req",), 3),
+            ("X", "dev", "s4", 4.0, 2.5, None),
+        ]
         assert list(snapshot) == [_expected(i) for i in (2, 3, 4)]
 
     def test_report_snapshot_shares_events_and_is_frozen(self):
@@ -116,8 +122,96 @@ class TestTraceEvents:
         report = telemetry.report()
         telemetry.instant("sched", "admit", 2.0, {"req": 2})
         assert len(report.events) == 1
-        assert report.events.args[0] is telemetry.trace.events.args[0]
-        assert report.events.heads[0] is telemetry.trace.events.heads[0]
+        assert report.events.records[0] is \
+            telemetry.trace.events.records[0]
+        # Each read rebuilds the args dict; nobody can edit the ring.
+        event = report.events[0]
+        event[5]["req"] = 99
+        assert report.events[0] == ("i", "sched", "admit", 1.0, 0.0,
+                                    {"req": 1})
+
+    def test_empty_args_and_key_order_round_trip(self):
+        recorder = TraceRecorder(4)
+        recorder.instant("sched", "a", 1.0, {})
+        recorder.span("dev", "b", 1.0, 0.5, {"z": 1, "a": None})
+        recorder.span("dev", "c", 2.0, 3.0, {"a": 2, "z": 3})
+        a, b, c = recorder.events
+        assert a == ("i", "sched", "a", 1.0, 0.0, {})
+        assert b == ("X", "dev", "b", 1.0, 0.0, {"z": 1, "a": None})
+        assert list(b[5]) == ["z", "a"]
+        assert list(c[5]) == ["a", "z"]
+        records = recorder.events.records
+        assert records[0][5] == ()
+        assert records[1][5] is not records[2][5]
+
+    def test_records_share_one_key_tuple_per_key_set(self):
+        recorder = TraceRecorder(16)
+        for index in range(6):
+            recorder.instant("sched", "admit", float(index),
+                             {"req": index, "outcome": "admitted"})
+        keys = {id(record[5]) for record in recorder.events.records}
+        assert len(keys) == 1
+        restored = pickle.loads(pickle.dumps(recorder.snapshot()))
+        assert len({id(record[5]) for record in restored.records}) == 1
+
+
+_ARGS = st.one_of(
+    st.none(),
+    st.just({}),
+    st.dictionaries(st.sampled_from(["req", "device", "op", "lat_us"]),
+                    st.one_of(st.integers(), st.text(max_size=3),
+                              st.floats(allow_nan=False), st.booleans()),
+                    max_size=4),
+)
+_EVENT = st.tuples(st.booleans(), st.sampled_from(["sched", "c0/dev"]),
+                   st.sampled_from(["admit", "serve"]),
+                   st.floats(0.0, 1e6), st.floats(-10.0, 1e3), _ARGS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.lists(_EVENT, max_size=40))
+def test_ring_equals_reference_deque_of_events(capacity, events):
+    recorder = TraceRecorder(capacity)
+    reference: collections.deque = collections.deque(maxlen=capacity)
+    for is_span, track, name, ts, dur, args in events:
+        if is_span:
+            recorder.span(track, name, ts, ts + dur, args)
+            reference.append(("X", track, name, ts,
+                              max((ts + dur) - ts, 0.0), args))
+        else:
+            recorder.instant(track, name, ts, args)
+            reference.append(("i", track, name, ts, 0.0, args))
+    assert list(recorder.events) == list(reference)
+    assert recorder.snapshot() == recorder.events
+    assert [recorder.events[i] for i in range(len(reference))] == \
+        list(reference)
+    assert recorder.recorded == len(events)
+    assert recorder.dropped == len(events) - len(reference)
+
+
+def test_retained_records_hold_no_dict():
+    telemetry = Telemetry(tracing=True, trace_capacity=32)
+    east = telemetry.scoped("east")
+    for index in range(50):
+        east.span("dev", "serve", float(index), index + 2.0,
+                  {"req": index, "op": "compress"})
+        telemetry.instant("scheduler", "admit", float(index), {})
+        east.instant("scheduler", "pend", float(index), None)
+    records = telemetry.trace.snapshot().records
+    assert len(records) == 32
+    assert not any(isinstance(field, dict)
+                   for record in records for field in record)
+
+
+def test_spans_on_one_scoped_track_share_one_string():
+    root = Telemetry(tracing=True)
+    nested = root.scoped("east").scoped("rack0")
+    nested.span("dpzip0", "serve", 0.0, 1.0, {"req": 1})
+    nested.span("dpzip0", "serve", 1.0, 2.0, {"req": 2})
+    root.scoped("east").scoped("rack0").instant("dpzip0", "mark", 3.0)
+    first, second, third = root.trace.events.records
+    assert first[1] == "east/rack0/dpzip0"
+    assert first[1] is second[1] is third[1]
 
 
 # -- completion log oracle ------------------------------------------------------
@@ -266,18 +360,22 @@ def test_memoized_key_order_equals_reference_order(keys):
 # -- keeping completions off the cyclic GC ----------------------------------------
 
 
-def test_trace_heads_are_untracked_after_collection():
+def test_trace_records_are_untracked_after_collection():
     recorder = TraceRecorder(64)
     for index in range(200):
         recorder.span(f"c{index % 3}/dev", "engine", index * 1.5,
                       index * 1.5 + 7.0, {"req": index, "device": "dpzip0"})
         recorder.instant("scheduler", "admit", index * 1.5,
                          {"req": index, "outcome": "admitted"})
+    # A record can leave the GC only once its shared key tuple has;
+    # the second pass covers key tuples the first one reached last.
     gc.collect()
-    heads = recorder.events.heads
-    assert len(heads) == 64
-    assert not any(gc.is_tracked(head) for head in heads)
-    assert not any(gc.is_tracked(head) for head in recorder.snapshot().heads)
+    gc.collect()
+    records = recorder.events.records
+    assert len(records) == 64
+    assert not any(gc.is_tracked(record) for record in records)
+    assert not any(gc.is_tracked(record)
+                   for record in recorder.snapshot().records)
 
 
 def test_log_columns_hold_no_tracked_elements():

@@ -9,11 +9,14 @@ instead of racing the scheduler.
 """
 
 import json
+import math
 import pickle
+import random
 import socket
 import struct
 import threading
 import time
+from bisect import bisect_right
 from multiprocessing.connection import (
     AuthenticationError,
     Client,
@@ -52,12 +55,14 @@ from repro.federation import (
     spawn_local_workers,
 )
 from repro.experiments.cli import main as cli_main
+from repro.federation import dispatch
 from repro.federation.dispatch import KEY_ENV, receive, serve_worker
 from repro.sweep import SweepAxis, SweepRunner, SweepSpec, WorkloadSpec
 from repro.sweep.runner import execute_point
 from repro.telemetry import DISABLED, Telemetry
 from repro.workloads.population import (
     DiurnalSpec,
+    TenantPopulation,
     TenantPopulationSpec,
     realize_population,
 )
@@ -209,6 +214,34 @@ class TestPopulation:
                          for u in range(97)]
         assert all(0 <= t < 1_000 for t in draws)
         assert population.tenant_for(0.999999999) < 1_000
+
+    def test_double_array_table_draws_like_a_float_list(self):
+        spec = TenantPopulationSpec(tenants=5_000, distribution="pareto",
+                                    alpha=1.1, seed=9)
+        population = TenantPopulation(spec)
+        assert population._cumulative.typecode == "d"
+        # The list-backed table the population used to build.
+        rng = random.Random(spec.seed)
+        total, cumulative = 0.0, []
+        for _ in range(spec.tenants):
+            total += rng.paretovariate(spec.alpha)
+            cumulative.append(total)
+
+        def reference(u: float) -> int:
+            return min(bisect_right(cumulative, u * total),
+                       spec.tenants - 1)
+
+        draws = random.Random(1)
+        us = [draws.random() for _ in range(20_000)]
+        us += [0.0, 0.5, math.nextafter(1.0, 0.0), 1.0]
+        assert [population.tenant_for(u) for u in us] == \
+            [reference(u) for u in us]
+        assert population.tenant_for(1.0) == spec.tenants - 1
+        assert list(population._cumulative) == cumulative
+        weights = sorted((b - a for a, b in zip([0.0, *cumulative],
+                                                 cumulative)),
+                         reverse=True)
+        assert population.top_share(0.01) == sum(weights[:50]) / total
 
     def test_realized_populations_are_cached(self):
         spec = TenantPopulationSpec(tenants=500, seed=3)
@@ -537,6 +570,24 @@ class TestDispatchAuthentication:
         _, points = dispatch_points(1)
         pool = SocketWorkerPool([address], authkey=TEST_KEY)
         assert [error for _, _, error in pool.imap(points)] == [None]
+        thread.join(30.0)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("sent", [b"", b"\x00\x00"],
+                             ids=["silent", "half-header"])
+    def test_stalled_handshake_is_dropped_and_the_worker_serves_on(
+            self, monkeypatch, sent):
+        monkeypatch.setattr(dispatch, "HANDSHAKE_TIMEOUT_S", 0.2)
+        thread, address = start_worker()
+        with socket.create_connection(address, timeout=30.0) as staller:
+            # The worker has sent this peer its challenge and now waits
+            # on an answer that never (fully) comes.
+            assert staller.recv(4096)
+            staller.sendall(sent)
+            _, points = dispatch_points(1)
+            pool = SocketWorkerPool([address], authkey=TEST_KEY)
+            assert [error for _, _, error in pool.imap(points)] == [None]
+            assert staller.recv(4096) == b""  # hung up on
         thread.join(30.0)
         assert not thread.is_alive()
 

@@ -305,6 +305,23 @@ class TestRunBlockStore:
         # Backlog drained: everything offered to the fleet completed.
         assert report.service.completed == report.service.offered
 
+    def test_run_builds_the_service_report_once(self, monkeypatch):
+        built = []
+        report = SchedulerCore.report
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            return report(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchedulerCore, "report", counted)
+        stream = self._stream()
+        cluster = parts_cluster(self._fleet(), cache_blocks=16,
+                                block_bytes=stream.block_bytes)
+        cluster.store_client(stream)
+        result = cluster.run()
+        assert len(built) == 1
+        assert result.service is result.store.service
+
     def test_row_is_flat_and_table_ready(self):
         report = self._run()
         row = report.row()
