@@ -646,7 +646,6 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
             ("tenant", "placement"))
         op_breakdown = log.grouped(log.op, log.placement).breakdown(
             ("op", "placement"))
-        by_slo = log.grouped(log.slo)
         per_device = []
         for device in self.devices + (
                 [self.spill_device] if self.spill_device else []):
@@ -660,10 +659,19 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
                 "batches": device.batches_submitted,
                 "engine_gbps": device.throughput.gbps(),
             })
+        by_slo = None
         slo_breakdown = []
         for name, stats in sorted(metrics.slo.items(),
                                   key=lambda kv: (kv[1].tier, kv[0])):
-            latency = by_slo.summary_us((name,))
+            # ``stats.completed`` counts the class's log rows.  A class
+            # holding all of them is the whole log in completion order:
+            # its summary is the overall one, so it is not sorted again.
+            if stats.completed == len(log.latency_ns):
+                latency = summary
+            else:
+                if by_slo is None:
+                    by_slo = log.grouped(log.slo)
+                latency = by_slo.summary_us((name,))
             slo_breakdown.append({
                 "slo": name,
                 "tier": stats.tier,

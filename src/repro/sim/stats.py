@@ -6,11 +6,10 @@ variation (Finding 15 contrasts CV < 0.5% vs CV > 50%).
 
 Summaries are hot: every report row distills thousands to millions of
 latency samples.  :meth:`LatencyRecorder.summary_us` therefore sorts
-its samples exactly once and shares the sorted list across p50/p95/p99,
-and sample sets past :data:`VECTORIZE_MIN` sort through numpy when it
-is importable (the interpolation arithmetic stays in pure Python on
-the same doubles, so the vectorized path is bit-identical to the
-fallback — asserted in the test suite).
+its samples exactly once and shares the sorted list across p50/p95/p99.
+The module is stdlib only, so a serving process loads no array
+library: ``sorted`` on the largest report costs less than such a
+library adds to every process's memory and start-up.
 """
 
 from __future__ import annotations
@@ -19,28 +18,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
-
-try:  # numpy is optional: summaries fall back to pure python
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in CI image
-    _np = None
-
-#: Sample count past which sorting/binning goes through numpy.  Small
-#: runs stay pure-python: converting a short list to an array costs
-#: more than it saves.
-VECTORIZE_MIN = 4096
-
-
-def _sorted_samples(samples: list[float]) -> list[float]:
-    """Ascending copy of ``samples``; numpy-sorted when large.
-
-    ``np.sort`` and ``sorted`` produce the same ordering for finite
-    floats, and ``tolist()`` round-trips float64 exactly, so both paths
-    return identical values.
-    """
-    if _np is not None and len(samples) >= VECTORIZE_MIN:
-        return _np.sort(_np.asarray(samples, dtype=_np.float64)).tolist()
-    return sorted(samples)
 
 
 def _percentile_of_sorted(ordered: list[float], fraction: float) -> float:
@@ -64,7 +41,7 @@ def percentile(samples: list[float], fraction: float) -> float:
         raise ValueError("percentile of empty sample set")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction {fraction} outside [0, 1]")
-    return _percentile_of_sorted(_sorted_samples(samples), fraction)
+    return _percentile_of_sorted(sorted(samples), fraction)
 
 
 def mean(samples: list[float]) -> float:
@@ -143,7 +120,7 @@ class LatencyRecorder:
             value = samples[0] / 1000.0
             return {"count": 1, "mean_us": (0 + samples[0]) / 1000.0,
                     "p50_us": value, "p95_us": value, "p99_us": value}
-        ordered = _sorted_samples(samples)
+        ordered = sorted(samples)
         return {
             "count": len(samples),
             "mean_us": mean(samples) / 1000.0,
@@ -280,22 +257,11 @@ class TimeSeries:
         self._bins[index] = self._bins.get(index, 0.0) + nbytes
 
     def series_mbps(self, start: int = 0, end: int | None = None) -> list[float]:
-        """MB/s per interval over [start, end) bins; gaps read as zero.
-
-        Long series scatter into a numpy vector and scale elementwise
-        (the same two divisions, so values match the python loop
-        bit-for-bit); short series stay pure python.
-        """
+        """MB/s per interval over [start, end) bins; gaps read as zero."""
         if not self._bins:
             return []
         last = max(self._bins) + 1 if end is None else end
         seconds = self.interval_ns / 1e9
-        if _np is not None and last - start >= VECTORIZE_MIN:
-            values = _np.zeros(last - start, dtype=_np.float64)
-            for index, total in self._bins.items():
-                if start <= index < last:
-                    values[index - start] = total
-            return (values / 1e6 / seconds).tolist()
         return [
             self._bins.get(i, 0.0) / 1e6 / seconds
             for i in range(start, last)

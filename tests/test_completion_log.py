@@ -32,9 +32,9 @@ from repro.service.request import (
     THROUGHPUT,
     OffloadRequest,
 )
+from repro.sim import stats as stats_module
 from repro.sim.engine import Simulator
 from repro.sim.stats import (
-    VECTORIZE_MIN,
     KeyedLatencyRecorder,
     LatencyRecorder,
     mean,
@@ -217,8 +217,9 @@ def test_spans_on_one_scoped_track_share_one_string():
 # -- completion log oracle ------------------------------------------------------
 
 
-def _mixed_run(seed: int = 7):
-    """Both ops and three SLO classes over three placements.
+def _mixed_run(seed: int = 7,
+               slos: tuple = (INTERACTIVE, THROUGHPUT, BEST_EFFORT)):
+    """Both ops and the ``slos`` classes over three placements.
 
     Tenants: twelve regulars, one occasional tenant and a one-off
     tenant per twenty requests (one-sample breakdown rows).  Returns
@@ -259,7 +260,7 @@ def _mixed_run(seed: int = 7):
                     else 100 if draw < 0.95 else 1000 + index),
             nbytes=rng.choice((512, 4096, 16384)),
             op=rng.choice(("compress", "decompress")),
-            slo=rng.choice((INTERACTIVE, THROUGHPUT, BEST_EFFORT)))
+            slo=rng.choice(slos))
         sim.call_later(when, lambda r=request: service.submit(
             r, on_complete=observe))
     sim.run()
@@ -291,6 +292,34 @@ class TestCompletionLog:
                 (latency["p50_us"], latency["p99_us"])
             assert row["completed"] == latency["count"]
 
+    @pytest.mark.parametrize("slos", [(THROUGHPUT,),
+                                      (INTERACTIVE, BEST_EFFORT)])
+    def test_slo_rows_equal_grouped_summaries(self, slos, monkeypatch):
+        service, _, _ = _mixed_run(seed=5, slos=slos)
+        log = service.metrics.log
+        full_sorts = []
+
+        def counting_sorted(values, **kwargs):
+            if len(values) == len(log.latency_ns):
+                full_sorts.append(len(values))
+            return sorted(values, **kwargs)
+
+        monkeypatch.setattr(stats_module, "sorted", counting_sorted,
+                            raising=False)
+        report = service.report()
+        monkeypatch.undo()
+        grouped = KeyedLatencyRecorder.grouped(zip(log.slo),
+                                               log.latency_ns)
+        assert {row["slo"] for row in report.slo_breakdown} == \
+            {slo.name for slo in slos}
+        for row in report.slo_breakdown:
+            latency = grouped.summary_us((row["slo"],))
+            assert row["completed"] == latency["count"] > 0
+            assert row["p50_us"] == latency["p50_us"]
+            assert row["p99_us"] == latency["p99_us"]
+        # The whole log is sorted once, even when one class holds it.
+        assert full_sorts == [400]
+
     def test_log_rows_are_in_completion_order(self):
         service, overall, _ = _mixed_run(seed=3)
         log = service.metrics.log
@@ -311,7 +340,7 @@ class TestCompletionLog:
 # -- the views' fast paths ------------------------------------------------------
 
 
-@pytest.mark.parametrize("count", [1, 7, VECTORIZE_MIN + 3])
+@pytest.mark.parametrize("count", [1, 7, 4099])
 def test_summary_of_double_array_equals_list(count):
     rng = random.Random(count)
     values = [rng.expovariate(1 / 40_000.0) for _ in range(count)]

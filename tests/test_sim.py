@@ -1,5 +1,8 @@
 """Tests for the discrete-event kernel and statistics collectors."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -358,69 +361,68 @@ class TestStats:
         assert series.cv_percent() == pytest.approx(0.0)
 
 
+def _reference_percentile(samples: list[float], fraction: float) -> float:
+    """Sort-and-interpolate oracle, written out independently of
+    ``repro.sim.stats``."""
+    ordered = sorted(samples)
+    rank = fraction * (len(ordered) - 1)
+    low, high = math.floor(rank), math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    weight = rank - low
+    value = ordered[low] * (1 - weight) + ordered[high] * weight
+    return min(max(value, ordered[0]), ordered[-1])
+
+
 class TestVectorizedStats:
-    """The numpy paths must be *bit-identical* to pure python, not
-    merely approximately equal — summaries feed the golden-run rows."""
+    """Large inputs (the sizes an optional numpy path once served) must
+    equal the reference *bit for bit*, not merely approximately —
+    summaries feed the golden-run rows."""
 
-    def _require_numpy(self):
-        from repro.sim import stats as stats_module
-        if stats_module._np is None:
-            pytest.skip("numpy unavailable; only the pure path exists")
-        return stats_module
-
-    def test_large_summary_matches_pure_python_exactly(self, monkeypatch):
-        import random
-
-        stats_module = self._require_numpy()
+    def test_large_summary_matches_pure_python_exactly(self):
         rng = random.Random(11)
         recorder = LatencyRecorder()
-        for _ in range(stats_module.VECTORIZE_MIN + 500):
+        for _ in range(4596):
             recorder.record(rng.uniform(0.0, 1e7))
-        vectorized = recorder.summary_us()
-        monkeypatch.setattr(stats_module, "_np", None)
-        pure = recorder.summary_us()
-        assert vectorized == pure  # exact equality, not approx
+        samples = recorder.samples
+        assert recorder.summary_us() == {
+            "count": 4596,
+            "mean_us": sum(samples) / len(samples) / 1000.0,
+            "p50_us": _reference_percentile(samples, 0.50) / 1000.0,
+            "p95_us": _reference_percentile(samples, 0.95) / 1000.0,
+            "p99_us": _reference_percentile(samples, 0.99) / 1000.0,
+        }
 
-    def test_large_percentile_matches_pure_python_exactly(self,
-                                                          monkeypatch):
-        import random
-
-        stats_module = self._require_numpy()
+    def test_large_percentile_matches_pure_python_exactly(self):
         rng = random.Random(12)
-        samples = [rng.uniform(0.0, 1e9)
-                   for _ in range(stats_module.VECTORIZE_MIN + 7)]
+        samples = [rng.uniform(0.0, 1e9) for _ in range(4103)]
         fractions = [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0]
-        vectorized = [percentile(samples, f) for f in fractions]
-        monkeypatch.setattr(stats_module, "_np", None)
-        assert vectorized == [percentile(samples, f) for f in fractions]
+        assert [percentile(samples, f) for f in fractions] == \
+            [_reference_percentile(samples, f) for f in fractions]
 
-    def test_long_timeseries_matches_pure_python_exactly(self,
-                                                         monkeypatch):
-        import random
-
-        stats_module = self._require_numpy()
+    def test_long_timeseries_matches_pure_python_exactly(self):
         rng = random.Random(13)
         series = TimeSeries(interval_ns=1e6)
-        for _ in range(2000):
-            series.record(rng.uniform(0.0,
-                                      stats_module.VECTORIZE_MIN * 1e6),
-                          rng.randrange(1, 1 << 20))
-        # Force a span past the vectorization threshold (sparse bins
-        # read as zero either way).
-        series.record((stats_module.VECTORIZE_MIN + 3) * 1e6, 4096)
-        vectorized = series.series_mbps()
-        assert len(vectorized) >= stats_module.VECTORIZE_MIN
-        monkeypatch.setattr(stats_module, "_np", None)
-        assert vectorized == series.series_mbps()
+        bins: dict[int, float] = {}
+        records = [(rng.uniform(0.0, 4096 * 1e6), rng.randrange(1, 1 << 20))
+                   for _ in range(2000)]
+        # A span of 4,099 bins, most of them empty (gaps read as zero).
+        records.append((4099 * 1e6 - 1.0, 4096))
+        for time_ns, nbytes in records:
+            series.record(time_ns, nbytes)
+            index = int(time_ns // 1e6)
+            bins[index] = bins.get(index, 0.0) + nbytes
+        expected = [bins.get(i, 0.0) / 1e6 / 1e-3 for i in range(4099)]
+        assert series.series_mbps() == expected
 
     def test_small_runs_stay_pure_python(self):
-        # Below the threshold the numpy path must not even be taken;
-        # sorted() output is the reference the goldens were cut from.
         recorder = LatencyRecorder()
         for value in (3000.0, 1000.0, 2000.0):
             recorder.record(value)
         summary = recorder.summary_us()
         assert summary["p50_us"] == 2.0
+        assert summary["p99_us"] == \
+            _reference_percentile(recorder.samples, 0.99) / 1000.0
 
 
 @given(st.lists(st.floats(0.1, 1e6), min_size=1, max_size=200),
