@@ -56,7 +56,7 @@ from repro.store.store import CompressedBlockStore
 from repro.telemetry import (
     DISABLED,
     MetricsRegistry,
-    ProfiledTelemetry,
+    ProfiledTraceRecorder,
     SloObjective,
     Telemetry,
     WallClockProfiler,
@@ -209,11 +209,10 @@ class Cluster:
         profiler = WallClockProfiler()
         self._profiler = profiler
         if self.telemetry.tracing:
-            # Telemetry is slotted — swap in the profiled subclass and
-            # re-hand the sink to every instrumented component.
-            self.telemetry = ProfiledTelemetry.wrapping(
-                self.telemetry, profiler)
-            self._wire_telemetry()
+            # The recorder is slotted — swap in the profiled subclass,
+            # which takes over the same ring and counters.
+            self.telemetry.trace = ProfiledTraceRecorder.wrapping(
+                self.telemetry.trace, profiler)
         if self.telemetry.metrics is not None:
             profiler.wrap(self.telemetry.metrics, "sample", "telemetry")
         scheduler = self.scheduler

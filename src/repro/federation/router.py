@@ -31,6 +31,9 @@ from repro.telemetry import DISABLED, Telemetry
 
 __all__ = ["GlobalRouter", "RouterReport"]
 
+# Argument names of the router's fabric-hop spans.
+_HOP_KEYS = ("tenant", "nbytes")
+
 
 class RouterReport:
     """Pure-data routing breakdown (picklable): per-member counts."""
@@ -83,8 +86,8 @@ class GlobalRouter:
 
     __slots__ = ("sim", "telemetry", "routing", "affinity_threshold",
                  "routed", "remote", "remote_request_bytes",
-                 "remote_response_bytes", "_names", "_schedulers",
-                 "_submits", "_link_costs", "_n", "_pick")
+                 "remote_response_bytes", "_names", "_hop_names",
+                 "_schedulers", "_submits", "_link_costs", "_n", "_pick")
 
     def __init__(self, sim: Simulator,
                  members: Sequence[tuple[str, SchedulerCore, LinkSpec]],
@@ -103,6 +106,7 @@ class GlobalRouter:
         self.routing = routing
         self.affinity_threshold = affinity_threshold
         self._names = tuple(name for name, _, _ in members)
+        self._hop_names = tuple(f"hop->{name}" for name in self._names)
         self._schedulers = [scheduler for _, scheduler, _ in members]
         # Hot-path hoists: bound submit per member, link pricing as
         # (latency_ns, 1/bandwidth) pairs.
@@ -169,10 +173,9 @@ class GlobalRouter:
         self.remote_request_bytes[target] += request.nbytes
         tel = self.telemetry
         if tel.tracing:
-            tel.span("router", f"hop->{self._names[target]}",
-                     t0, t0 + hop_ns,
-                     {"tenant": request.tenant,
-                      "nbytes": request.nbytes})
+            tel.trace.span(tel.tracks["router"], self._hop_names[target],
+                           t0, t0 + hop_ns, _HOP_KEYS, request.tenant,
+                           request.nbytes)
         submit = self._submits[target]
 
         def complete(req: OffloadRequest, device, cost) -> None:

@@ -38,6 +38,9 @@ from repro.sim.engine import Process, Simulator
 #: How often a drain waits between in-flight checks before offlining.
 DRAIN_POLL_NS = 1_000.0
 
+# Argument names of the control-plane trace instants.
+_ACTION_KEYS = ("device", "detail")
+
 
 class FleetController:
     """Reconfigures a live fleet through its scheduler core."""
@@ -67,9 +70,8 @@ class FleetController:
         self.events.append((self.sim.now, action, device, detail))
         tel = self.scheduler.telemetry
         if tel.tracing:
-            tel.instant("control", action, self.sim.now, {
-                "device": device, "detail": detail,
-            })
+            tel.trace.instant(tel.tracks["control"], action, self.sim.now,
+                              _ACTION_KEYS, device, detail)
 
     def _find(self, name: str) -> FleetDevice:
         matches = [device for device in self.scheduler.devices

@@ -40,6 +40,11 @@ from repro.sim.stats import ThroughputTracker
 from repro.telemetry import DISABLED
 from repro.virt.qos import FairArbiter, FcfsArbiter, VfRequest
 
+# Argument names of each trace event a fleet device records.
+_QUEUE_KEYS = ("req", "device")
+_DISPATCH_KEYS = ("req",)
+_SERVE_KEYS = ("req", "op", "tenant")
+
 
 class DeviceState(enum.Enum):
     """Lifecycle of one fleet member."""
@@ -323,9 +328,9 @@ class FleetDevice:
             # Scheduler-side wait: admission stamp to device entry.
             # Every routing path (dispatch, pump, spill, migrate) funnels
             # through here, so this one span covers them all.
-            tel.span("scheduler", "queue", request.arrival_ns, now, {
-                "req": request.trace_id, "device": self.name,
-            })
+            tel.trace.span(tel.tracks["scheduler"], "queue",
+                           request.arrival_ns, now, _QUEUE_KEYS,
+                           request.trace_id, self.name)
         self.batcher.add(_Submission(request, cost, on_complete,
                                      enqueue_ns=now))
 
@@ -400,12 +405,12 @@ class FleetDevice:
             # ``dispatch`` covers batching + the shared doorbell ring;
             # ``serve`` is the device's own pre/engine/post pipeline.
             entry_ns = submission.entry_ns
-            tel.span(self.name, "dispatch", submission.enqueue_ns,
-                     entry_ns, {"req": request.trace_id})
-            tel.span(self.name, "serve", entry_ns, self.sim.now, {
-                "req": request.trace_id, "op": request.op,
-                "tenant": request.tenant,
-            })
+            track = tel.tracks[self.name]
+            tel.trace.span(track, "dispatch", submission.enqueue_ns,
+                           entry_ns, _DISPATCH_KEYS, request.trace_id)
+            tel.trace.span(track, "serve", entry_ns, self.sim.now,
+                           _SERVE_KEYS, request.trace_id, request.op,
+                           request.tenant)
         if submission.on_complete is not None:
             submission.on_complete(request, self, cost)
 

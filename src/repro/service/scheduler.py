@@ -54,6 +54,13 @@ from repro.telemetry import DISABLED
 #: Pending-queue depth an SLO-aware policy gets when none is specified.
 DEFAULT_PENDING_LIMIT = 64
 
+# Argument names of each trace event the scheduler records.
+_ADMIT_KEYS = ("req", "outcome", "slo", "tenant", "op", "nbytes")
+_SHED_KEYS = ("req", "slo")
+_PEND_KEYS = ("req", "depth")
+_MIGRATE_KEYS = ("req",)
+_COMPLETE_KEYS = ("req", "device", "lat_us", "missed")
+
 CompletionHook = Callable[[OffloadRequest, FleetDevice, ModeledCost], None]
 DropHook = Callable[[OffloadRequest], None]
 
@@ -368,11 +375,10 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
         if outcome is None:
             outcome = self._dispatch_or_queue(request, hook, on_drop)
         if tel.tracing:
-            tel.instant("scheduler", "admit", request.arrival_ns, {
-                "req": request.trace_id, "outcome": outcome,
-                "slo": request.slo.name, "tenant": request.tenant,
-                "op": request.op, "nbytes": request.nbytes,
-            })
+            tel.trace.instant(tel.tracks["scheduler"], "admit",
+                              request.arrival_ns, _ADMIT_KEYS,
+                              request.trace_id, outcome, request.slo.name,
+                              request.tenant, request.op, request.nbytes)
         return outcome
 
     def _dispatch_or_queue(self, request: OffloadRequest,
@@ -448,9 +454,9 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
         self.metrics.slo_stats(request.slo).shed += 1
         tel = self.telemetry
         if tel.tracing:
-            tel.instant("scheduler", "shed", self.sim.now, {
-                "req": request.trace_id, "slo": request.slo.name,
-            })
+            tel.trace.instant(tel.tracks["scheduler"], "shed", self.sim.now,
+                              _SHED_KEYS, request.trace_id,
+                              request.slo.name)
         if on_drop is not None:
             on_drop(request)
 
@@ -465,9 +471,9 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
         self._pending_count += 1
         tel = self.telemetry
         if tel.tracing:
-            tel.instant("scheduler", "pend", self.sim.now, {
-                "req": request.trace_id, "depth": self._pending_count,
-            })
+            tel.trace.instant(tel.tracks["scheduler"], "pend", self.sim.now,
+                              _PEND_KEYS, request.trace_id,
+                              self._pending_count)
 
     def _peek_pending(self) -> _PendingEntry | None:
         while self._heap:
@@ -590,9 +596,9 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
         for submission in submissions:
             self.metrics.migrated += 1
             if tel.tracing:
-                tel.instant("scheduler", "migrate", self.sim.now, {
-                    "req": submission.request.trace_id,
-                })
+                tel.trace.instant(tel.tracks["scheduler"], "migrate",
+                                  self.sim.now, _MIGRATE_KEYS,
+                                  submission.request.trace_id)
             hook = submission.on_complete
             on_drop = (hook.on_drop
                        if isinstance(hook, _CompletionChain) else None)
@@ -628,10 +634,10 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
             stats.missed += 1
         tel = self.telemetry
         if tel.tracing:
-            tel.instant("scheduler", "complete", self.sim.now, {
-                "req": request.trace_id, "device": device.name,
-                "lat_us": latency_ns / 1000.0, "missed": missed,
-            })
+            tel.trace.instant(tel.tracks["scheduler"], "complete",
+                              self.sim.now, _COMPLETE_KEYS,
+                              request.trace_id, device.name,
+                              latency_ns / 1000.0, missed)
 
     # -- reporting -------------------------------------------------------------
 

@@ -39,6 +39,13 @@ from repro.store.blockmap import BlockMap
 from repro.store.cache import BlockCache
 from repro.telemetry import DISABLED
 
+# Argument names of each trace event the store records.
+_PUT_KEYS = ("req", "block", "compress_req")
+_DROP_KEYS = ("req", "block")
+_OUTCOME_KEYS = ("req", "block", "outcome")
+_COALESCE_KEYS = ("req", "block", "waiters")
+_MISS_KEYS = ("req", "block", "outcome", "decompress_req")
+
 
 @dataclass
 class StoreMetrics:
@@ -230,10 +237,9 @@ class CompressedBlockStore:
                     or self.sim.now <= self.measure_until_ns):
                 self.metrics.window_write_bytes += self.block_bytes
             if tel.tracing:
-                tel.span("store", "put", arrival, self.sim.now, {
-                    "req": op_id, "block": block,
-                    "compress_req": req.trace_id,
-                })
+                tel.trace.span(tel.tracks["store"], "put", arrival,
+                               self.sim.now, _PUT_KEYS, op_id, block,
+                               req.trace_id)
             if on_done is not None:
                 on_done("completed")
 
@@ -242,9 +248,8 @@ class CompressedBlockStore:
             # queued write by higher-priority work.
             self.metrics.failed_writes += 1
             if tel.tracing:
-                tel.instant("store", "put-drop", self.sim.now, {
-                    "req": op_id, "block": block,
-                })
+                tel.trace.instant(tel.tracks["store"], "put-drop",
+                                  self.sim.now, _DROP_KEYS, op_id, block)
             if on_done is not None:
                 on_done("dropped")
 
@@ -269,9 +274,8 @@ class CompressedBlockStore:
         op_id = tel.next_id() if tel.tracing else -1
         if self.cache.lookup(block):
             if tel.tracing:
-                tel.instant("store", "cache-probe", arrival, {
-                    "req": op_id, "block": block, "outcome": "hit",
-                })
+                tel.trace.instant(tel.tracks["store"], "cache-probe",
+                                  arrival, _OUTCOME_KEYS, op_id, block, "hit")
             self.sim.call_later(0.0, partial(self._serve_hit, arrival,
                                              on_done, block, op_id))
             return "hit"
@@ -281,15 +285,13 @@ class CompressedBlockStore:
             self._pending_reads[block].append((arrival, on_done, op_id))
             self.metrics.coalesced_reads += 1
             if tel.tracing:
-                tel.instant("store", "coalesce", arrival, {
-                    "req": op_id, "block": block,
-                    "waiters": len(self._pending_reads[block]),
-                })
+                tel.trace.instant(tel.tracks["store"], "coalesce", arrival,
+                                  _COALESCE_KEYS, op_id, block,
+                                  len(self._pending_reads[block]))
             return "coalesced"
         if tel.tracing:
-            tel.instant("store", "cache-probe", arrival, {
-                "req": op_id, "block": block, "outcome": "miss",
-            })
+            tel.trace.instant(tel.tracks["store"], "cache-probe", arrival,
+                              _OUTCOME_KEYS, op_id, block, "miss")
         location = self.blockmap.lookup(block)
         self._pending_reads[block] = [(arrival, on_done, op_id)]
         self.sim.call_later(0.0, partial(self._serve_miss, block, tenant,
@@ -314,9 +316,8 @@ class CompressedBlockStore:
         self._finish_read(arrival_ns, self.metrics.hit_latency)
         tel = self.telemetry
         if tel.tracing:
-            tel.span("store", "get", arrival_ns, self.sim.now, {
-                "req": op_id, "block": block, "outcome": "hit",
-            })
+            tel.trace.span(tel.tracks["store"], "get", arrival_ns,
+                           self.sim.now, _OUTCOME_KEYS, op_id, block, "hit")
         if on_done is not None:
             on_done("completed")
 
@@ -350,11 +351,10 @@ class CompressedBlockStore:
                 enumerate(self._pending_reads.pop(block, [])):
             self._finish_read(waiter_arrival, self.metrics.miss_latency)
             if tel.tracing:
-                tel.span("store", "get", waiter_arrival, self.sim.now, {
-                    "req": waiter_op, "block": block,
-                    "outcome": "miss" if index == 0 else "coalesced",
-                    "decompress_req": req.trace_id,
-                })
+                tel.trace.span(tel.tracks["store"], "get", waiter_arrival,
+                               self.sim.now, _MISS_KEYS, waiter_op, block,
+                               "miss" if index == 0 else "coalesced",
+                               req.trace_id)
             if waiter_done is not None:
                 waiter_done("completed")
 
@@ -366,9 +366,8 @@ class CompressedBlockStore:
         self.metrics.failed_reads += len(waiters)
         for _, waiter_done, waiter_op in waiters:
             if tel.tracing:
-                tel.instant("store", "get-drop", self.sim.now, {
-                    "req": waiter_op, "block": block,
-                })
+                tel.trace.instant(tel.tracks["store"], "get-drop",
+                                  self.sim.now, _DROP_KEYS, waiter_op, block)
             if waiter_done is not None:
                 waiter_done("dropped")
 

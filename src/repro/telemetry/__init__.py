@@ -33,7 +33,7 @@ from repro.telemetry.core import (
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.profiler import (
-    ProfiledTelemetry,
+    ProfiledTraceRecorder,
     WallClockProfile,
     WallClockProfiler,
 )
@@ -59,7 +59,7 @@ __all__ = [
     "HealthReport",
     "Histogram",
     "MetricsRegistry",
-    "ProfiledTelemetry",
+    "ProfiledTraceRecorder",
     "ScopedTelemetry",
     "SloObjective",
     "Telemetry",

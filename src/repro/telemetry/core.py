@@ -4,12 +4,16 @@ Every instrumented component holds a :class:`Telemetry` — by default
 the module-level :data:`DISABLED` singleton, whose ``tracing`` flag is
 a plain ``False`` attribute.  Hot-path call sites guard with::
 
+    _QUEUE_KEYS = ("req", "device")  # module level, once per call site
+
     tel = self.telemetry
     if tel.tracing:
-        tel.span(...)
+        tel.trace.span(tel.tracks["scheduler"], "queue", start_ns,
+                       end_ns, _QUEUE_KEYS, request.trace_id, self.name)
 
 so a disabled run pays one attribute load and one branch per hook —
-nothing else (asserted by ``benchmarks/test_bench_telemetry.py``).
+nothing else (asserted by ``benchmarks/test_bench_telemetry.py``) —
+and a traced one pays one call into the recorder per event.
 
 Live :class:`Telemetry` objects hold gauge closures and are therefore
 *not* shipped across the sweep worker pool; :meth:`Telemetry.report`
@@ -94,9 +98,13 @@ class Telemetry:
     bare keyword arguments in tests).  With neither tracing nor a
     metrics interval requested, the instance is inert: ``tracing`` is
     ``False``, ``metrics`` is ``None``, and ``enabled`` is ``False``.
+
+    ``tracks`` maps a component's track name to the name it is
+    recorded under: itself here, ``<prefix>/<track>`` in a
+    :class:`ScopedTelemetry`.
     """
 
-    __slots__ = ("tracing", "trace", "metrics", "_next_id")
+    __slots__ = ("tracing", "trace", "metrics", "tracks", "_next_id")
 
     def __init__(self, spec=None, *, tracing: bool = False,
                  trace_capacity: int | None = None,
@@ -113,6 +121,7 @@ class Telemetry:
         self.metrics = None
         if metrics_interval_ns is not None:
             self.metrics = MetricsRegistry(metrics_interval_ns)
+        self.tracks = _Tracks("")
         self._next_id = 0
 
     @property
@@ -124,16 +133,6 @@ class Telemetry:
         deterministic for a given spec + seed regardless of workers."""
         self._next_id += 1
         return self._next_id
-
-    # -- recording (call sites guard on ``tracing`` first) ---------------------
-
-    def span(self, track: str, name: str, start_ns: float,
-             end_ns: float, args: dict | None = None) -> None:
-        self.trace.span(track, name, start_ns, end_ns, args)
-
-    def instant(self, track: str, name: str, ts_ns: float,
-                args: dict | None = None) -> None:
-        self.trace.instant(track, name, ts_ns, args)
 
     # -- scoping ---------------------------------------------------------------
 
@@ -165,8 +164,9 @@ class Telemetry:
         )
 
 
-class _ScopedTracks(dict):
-    """``track -> prefix + track``, each name built once and interned."""
+class _Tracks(dict):
+    """``track -> prefix + track``, each name built once and interned
+    (the identity for the root's empty prefix)."""
 
     __slots__ = ("prefix",)
 
@@ -183,35 +183,28 @@ class ScopedTelemetry(Telemetry):
     """A track-prefixing view over a root :class:`Telemetry`.
 
     Shares the root's recorder, registry and id counter (ids stay
-    globally monotonic across every scope), rewriting only the track
-    names.  Each prefixed track name is built once and interned, so
+    globally monotonic across every scope); only :attr:`tracks`
+    differs.  Each prefixed track name is built once and interned, so
     every span on a track shares one string (also across scope views
     that resolve to the same prefix).  Build via
     :meth:`Telemetry.scoped`.
     """
 
-    __slots__ = ("_root", "_prefix", "_tracks")
+    __slots__ = ("_root", "_prefix")
 
     def __init__(self, root: Telemetry, prefix: str) -> None:
-        # Deliberately no super().__init__: every slot is aliased to
-        # the root so the hot-path guards read the same flags.
+        # Deliberately no super().__init__: every slot but ``tracks``
+        # is aliased to the root so the hot-path guards read the same
+        # flags.
         self._root = root
         self._prefix = f"{prefix}/"
-        self._tracks = _ScopedTracks(self._prefix)
+        self.tracks = _Tracks(self._prefix)
         self.tracing = root.tracing
         self.trace = root.trace
         self.metrics = root.metrics
 
     def next_id(self) -> int:
         return self._root.next_id()
-
-    def span(self, track: str, name: str, start_ns: float,
-             end_ns: float, args: dict | None = None) -> None:
-        self.trace.span(self._tracks[track], name, start_ns, end_ns, args)
-
-    def instant(self, track: str, name: str, ts_ns: float,
-                args: dict | None = None) -> None:
-        self.trace.instant(self._tracks[track], name, ts_ns, args)
 
     def scoped(self, prefix: str) -> "Telemetry":
         return self._root.scoped(f"{self._prefix}{prefix}")

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.telemetry.core import Telemetry
+from repro.telemetry.trace import TraceRecorder
 
 #: Recorded host-span cap: totals are always complete, but only this
 #: many individual section intervals are kept for the trace's host
@@ -169,41 +169,43 @@ class WallClockProfiler:
         )
 
 
-class ProfiledTelemetry(Telemetry):
-    """A :class:`Telemetry` façade that bills span recording to the
+class ProfiledTraceRecorder(TraceRecorder):
+    """A :class:`TraceRecorder` that bills span recording to the
     profiler's ``telemetry`` section.
 
-    Swapped in by ``Cluster.enable_profiling()`` *instead of* wrapping
-    the recorder: :class:`Telemetry` and its recorder are slotted, so
-    per-instance monkeypatching is impossible — subclass override is
-    the supported seam.
+    Swapped in for a live recorder by ``Cluster.enable_profiling()``
+    (:meth:`wrapping`): it takes over the recorder's ring and counters,
+    so the run records into the same buffer.  The recorder is slotted,
+    so per-instance wrapping is impossible — subclass override is the
+    supported seam, and unprofiled runs keep the plain recorder.
     """
 
     __slots__ = ("profiler",)
 
     @classmethod
-    def wrapping(cls, telemetry: Telemetry,
-                 profiler: WallClockProfiler) -> "ProfiledTelemetry":
+    def wrapping(cls, recorder: TraceRecorder,
+                 profiler: WallClockProfiler) -> "ProfiledTraceRecorder":
         wrapped = cls.__new__(cls)
-        wrapped.tracing = telemetry.tracing
-        wrapped.trace = telemetry.trace
-        wrapped.metrics = telemetry.metrics
-        wrapped._next_id = telemetry._next_id
+        wrapped.capacity = recorder.capacity
+        wrapped.recorded = recorder.recorded
+        wrapped._ring = recorder._ring
         wrapped.profiler = profiler
         return wrapped
 
-    def span(self, track, name, start_ns, end_ns, args=None) -> None:
+    def span(self, track, name, start_ns, end_ns, keys=None,
+             *values) -> None:
         profiler = self.profiler
         profiler.push("telemetry")
         try:
-            self.trace.span(track, name, start_ns, end_ns, args)
+            TraceRecorder.span(self, track, name, start_ns, end_ns, keys,
+                               *values)
         finally:
             profiler.pop()
 
-    def instant(self, track, name, ts_ns, args=None) -> None:
+    def instant(self, track, name, ts_ns, keys=None, *values) -> None:
         profiler = self.profiler
         profiler.push("telemetry")
         try:
-            self.trace.instant(track, name, ts_ns, args)
+            TraceRecorder.instant(self, track, name, ts_ns, keys, *values)
         finally:
             profiler.pop()

@@ -45,7 +45,7 @@ class TraceEvents(Sequence):
 
     Backed by the recorder's flat records, one tuple per event:
     ``(ph, track, name, ts_ns, dur_ns, keys, *values)``, where ``keys``
-    is the argument dict's key tuple (``None`` for no arguments).
+    is the tuple of argument names (``None`` for no arguments).
     Indexing and iteration rebuild the 6-tuples, each with a fresh
     ``args`` dict; equality compares the rebuilt events.
     """
@@ -79,15 +79,16 @@ class TraceRecorder:
     """Bounded flight recorder of simulated-time trace events.
 
     The ring is one ``deque(maxlen=capacity)`` of flat records, read
-    through :attr:`events`.  A record holds no dict: the argument
-    values sit inline after the dict's key tuple, and each distinct
-    key tuple is stored once per recorder, so an event costs one tuple.
-    Recording never allocates beyond the cap, and under overflow the
-    *oldest* events fall out first — the flight-recorder discipline
-    (the tail of a run is what you debug).
+    through :attr:`events`.  A record holds no dict: callers pass the
+    argument names as one ``keys`` tuple (a module-level constant at
+    each call site, so every event from a site shares it) followed by
+    the values, and an event costs one call and one tuple.  Recording
+    never allocates beyond the cap, and under overflow the *oldest*
+    events fall out first — the flight-recorder discipline (the tail
+    of a run is what you debug).
     """
 
-    __slots__ = ("capacity", "recorded", "_ring", "_keys")
+    __slots__ = ("capacity", "recorded", "_ring")
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity < 1:
@@ -96,7 +97,6 @@ class TraceRecorder:
             )
         self.capacity = capacity
         self._ring: collections.deque = collections.deque(maxlen=capacity)
-        self._keys: dict[tuple, tuple] = {}
         self.recorded = 0
 
     @property
@@ -114,32 +114,24 @@ class TraceRecorder:
         """Events that fell out of the ring buffer."""
         return self.recorded - len(self._ring)
 
-    def span(self, track: str, name: str, start_ns: float,
-             end_ns: float, args: dict | None = None) -> None:
-        """Record one complete span (``ph="X"``) on ``track``."""
+    def span(self, track: str, name: str, start_ns: float, end_ns: float,
+             keys: tuple[str, ...] | None = None, *values) -> None:
+        """Record one complete span (``ph="X"``) on ``track``; its
+        arguments are ``dict(zip(keys, values))`` (none when ``keys``
+        is ``None``)."""
         self.recorded += 1
         dur_ns = end_ns - start_ns
         if dur_ns < 0.0:
             dur_ns = 0.0
-        if args is None:
-            self._ring.append(("X", track, name, start_ns, dur_ns, None))
-        else:
-            keys = tuple(args)
-            keys = self._keys.setdefault(keys, keys)
-            self._ring.append(("X", track, name, start_ns, dur_ns, keys,
-                               *args.values()))
+        self._ring.append(("X", track, name, start_ns, dur_ns, keys)
+                          + values)
 
     def instant(self, track: str, name: str, ts_ns: float,
-                args: dict | None = None) -> None:
-        """Record one instant event (``ph="i"``) on ``track``."""
+                keys: tuple[str, ...] | None = None, *values) -> None:
+        """Record one instant event (``ph="i"``) on ``track``; arguments
+        as for :meth:`span`."""
         self.recorded += 1
-        if args is None:
-            self._ring.append(("i", track, name, ts_ns, 0.0, None))
-        else:
-            keys = tuple(args)
-            keys = self._keys.setdefault(keys, keys)
-            self._ring.append(("i", track, name, ts_ns, 0.0, keys,
-                               *args.values()))
+        self._ring.append(("i", track, name, ts_ns, 0.0, keys) + values)
 
 
 def trace_document(events: Iterable[tuple], dropped: int = 0,

@@ -369,6 +369,19 @@ class TestHealthIntegration:
         assert len(result.metrics_rows()) == 1
         assert result.health().samples == 1
 
+    def test_profiled_run_bills_each_event_and_keeps_the_trace(self):
+        spec = traced(CHEAP_CLUSTER, metrics_interval_ns=None)
+        plain = run_cluster(spec, duration_ns=2e6)
+        profiled = run_cluster(spec, duration_ns=2e6, profile=True)
+        telemetry = profiled.telemetry
+        assert telemetry.recorded > 100 and telemetry.host_sections
+        assert profiled.wall_profile.calls["telemetry"] \
+            == telemetry.recorded
+        # The host-clock track differs run to run; everything in
+        # simulated time must not.
+        assert dataclasses.replace(telemetry, host_sections=[]) \
+            .trace_json() == plain.telemetry.trace_json()
+
     def test_interval_beyond_horizon_is_loud(self):
         cluster = Cluster.from_spec(
             traced(CHEAP_CLUSTER, metrics_interval_ns=5e5))

@@ -1,4 +1,4 @@
-"""A serving process never loads numpy.
+"""A serving process never loads numpy or the lint package.
 
 Sweeps and federations start one process per run, so every process
 pays for what the serving stack imports.  The summaries in
@@ -7,6 +7,10 @@ a report past 4,096 samples and a long throughput series in a fresh
 interpreter and checks that numpy stayed out of ``sys.modules``.  With
 numpy not installed the check passes trivially, so CI also runs this
 file once numpy is installed.
+
+A session reads ``REPRO_SANITIZE`` through ``repro.analyzers``, whose
+lint and rule modules must stay unloaded: only the sanitizer belongs in
+a serving process.
 """
 
 import json
@@ -39,19 +43,52 @@ print(json.dumps({
     "cv_percent": series.cv_percent(),
     "numpy": sorted(name for name in sys.modules
                     if name.partition(".")[0] == "numpy"),
+    "lint": sorted(name for name in sys.modules
+                   if name in LINT_MODULES),
 }))
 """
 
+SANITIZED_SCRIPT = """
+import json
+import sys
 
-def test_serving_process_never_imports_numpy():
-    env = dict(os.environ)
+from repro.cluster import Cluster, default_cluster_spec
+
+cluster = Cluster.from_spec(default_cluster_spec())
+print(json.dumps({
+    "simulator": type(cluster.sim).__name__,
+    "lint": sorted(name for name in sys.modules
+                   if name in LINT_MODULES),
+}))
+"""
+
+#: Modules only the lint CLI needs.
+LINT_MODULES = ("repro.analyzers.lint", "repro.analyzers.rules")
+
+
+def _run_fresh(script: str, **environ: str) -> dict:
+    """The JSON object ``script`` prints last, run in a fresh
+    interpreter with ``LINT_MODULES`` defined."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    run = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    source = f"LINT_MODULES = {LINT_MODULES!r}\n{script}"
+    run = subprocess.run([sys.executable, "-c", source], env=env,
                          capture_output=True, text=True, timeout=300,
                          check=True)
-    outcome = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_serving_process_never_imports_numpy():
+    outcome = _run_fresh(SCRIPT)
     assert outcome["completed"] >= 4096
     assert outcome["bins"] >= 4099
     assert outcome["cv_percent"] > 0
     assert outcome["numpy"] == []
+    assert outcome["lint"] == []
+
+
+def test_sanitize_env_still_builds_a_sanitized_simulator():
+    outcome = _run_fresh(SANITIZED_SCRIPT, REPRO_SANITIZE="1")
+    assert outcome["simulator"] == "SanitizedSimulator"
+    assert outcome["lint"] == []

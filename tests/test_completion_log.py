@@ -16,16 +16,24 @@ which the last tests check directly.
 """
 
 import collections
+import dataclasses
 import gc
 import pickle
 import random
+import re
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.federation import Federation, FederationSpec
+from repro.federation import router as router_module
 from repro.hw.engine import Placement
 from repro.service import FleetDevice, SchedulerCore
+from repro.service import control as control_module
+from repro.service import fleet as fleet_module
+from repro.service import scheduler as scheduler_module
 from repro.service.request import (
     BEST_EFFORT,
     INTERACTIVE,
@@ -40,18 +48,23 @@ from repro.sim.stats import (
     mean,
     percentile,
 )
+from repro.store import store as store_module
 from repro.telemetry import Telemetry, TraceEvents, TraceRecorder
 from service_stubs import StubDevice, flat_model
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # -- trace ring -----------------------------------------------------------------
+
+_REQ = ("req",)
 
 
 def _recorder(count: int, capacity: int = 16) -> TraceRecorder:
     recorder = TraceRecorder(capacity)
     for index in range(count):
         if index % 2:
-            recorder.instant("sched", f"i{index}", float(index),
-                             {"req": index})
+            recorder.instant("sched", f"i{index}", float(index), _REQ,
+                             index)
         else:
             recorder.span("dev", f"s{index}", float(index),
                           index + 2.5, None)
@@ -118,9 +131,11 @@ class TestTraceEvents:
 
     def test_report_snapshot_shares_events_and_is_frozen(self):
         telemetry = Telemetry(tracing=True, trace_capacity=8)
-        telemetry.instant("sched", "admit", 1.0, {"req": 1})
+        telemetry.trace.instant(telemetry.tracks["sched"], "admit", 1.0,
+                                _REQ, 1)
         report = telemetry.report()
-        telemetry.instant("sched", "admit", 2.0, {"req": 2})
+        telemetry.trace.instant(telemetry.tracks["sched"], "admit", 2.0,
+                                _REQ, 2)
         assert len(report.events) == 1
         assert report.events.records[0] is \
             telemetry.trace.events.records[0]
@@ -132,9 +147,9 @@ class TestTraceEvents:
 
     def test_empty_args_and_key_order_round_trip(self):
         recorder = TraceRecorder(4)
-        recorder.instant("sched", "a", 1.0, {})
-        recorder.span("dev", "b", 1.0, 0.5, {"z": 1, "a": None})
-        recorder.span("dev", "c", 2.0, 3.0, {"a": 2, "z": 3})
+        recorder.instant("sched", "a", 1.0, ())
+        recorder.span("dev", "b", 1.0, 0.5, ("z", "a"), 1, None)
+        recorder.span("dev", "c", 2.0, 3.0, ("a", "z"), 2, 3)
         a, b, c = recorder.events
         assert a == ("i", "sched", "a", 1.0, 0.0, {})
         assert b == ("X", "dev", "b", 1.0, 0.0, {"z": 1, "a": None})
@@ -144,15 +159,34 @@ class TestTraceEvents:
         assert records[0][5] == ()
         assert records[1][5] is not records[2][5]
 
-    def test_records_share_one_key_tuple_per_key_set(self):
-        recorder = TraceRecorder(16)
-        for index in range(6):
-            recorder.instant("sched", "admit", float(index),
-                             {"req": index, "outcome": "admitted"})
-        keys = {id(record[5]) for record in recorder.events.records}
-        assert len(keys) == 1
-        restored = pickle.loads(pickle.dumps(recorder.snapshot()))
-        assert len({id(record[5]) for record in restored.records}) == 1
+    @pytest.mark.parametrize("method", ["span", "instant"])
+    def test_key_tuple_records_equal_the_dict_form(self, method):
+        # Records and rebuilt events the dict-argument recorder
+        # (``span(track, name, start, end, args)``) stored for
+        # ``None``, ``{}`` and ``{"req": 7, "op": "compress",
+        # "missed": False}``.
+        recorder = TraceRecorder(8)
+        record = getattr(recorder, method)
+        head = ("dev", "serve", 10.0, 25.0) if method == "span" \
+            else ("dev", "serve", 10.0)
+        record(*head)
+        record(*head, None)
+        record(*head, ())
+        record(*head, ("req", "op", "missed"), 7, "compress", False)
+        lead = ("X", "dev", "serve", 10.0, 15.0) if method == "span" \
+            else ("i", "dev", "serve", 10.0, 0.0)
+        assert list(recorder.events.records) == [
+            (*lead, None),
+            (*lead, None),
+            (*lead, ()),
+            (*lead, ("req", "op", "missed"), 7, "compress", False),
+        ]
+        assert list(recorder.events) == [
+            (*lead, None),
+            (*lead, None),
+            (*lead, {}),
+            (*lead, {"req": 7, "op": "compress", "missed": False}),
+        ]
 
 
 _ARGS = st.one_of(
@@ -174,12 +208,14 @@ def test_ring_equals_reference_deque_of_events(capacity, events):
     recorder = TraceRecorder(capacity)
     reference: collections.deque = collections.deque(maxlen=capacity)
     for is_span, track, name, ts, dur, args in events:
+        keys = None if args is None else tuple(args)
+        values = () if args is None else tuple(args.values())
         if is_span:
-            recorder.span(track, name, ts, ts + dur, args)
+            recorder.span(track, name, ts, ts + dur, keys, *values)
             reference.append(("X", track, name, ts,
                               max((ts + dur) - ts, 0.0), args))
         else:
-            recorder.instant(track, name, ts, args)
+            recorder.instant(track, name, ts, keys, *values)
             reference.append(("i", track, name, ts, 0.0, args))
     assert list(recorder.events) == list(reference)
     assert recorder.snapshot() == recorder.events
@@ -193,10 +229,12 @@ def test_retained_records_hold_no_dict():
     telemetry = Telemetry(tracing=True, trace_capacity=32)
     east = telemetry.scoped("east")
     for index in range(50):
-        east.span("dev", "serve", float(index), index + 2.0,
-                  {"req": index, "op": "compress"})
-        telemetry.instant("scheduler", "admit", float(index), {})
-        east.instant("scheduler", "pend", float(index), None)
+        east.trace.span(east.tracks["dev"], "serve", float(index),
+                        index + 2.0, ("req", "op"), index, "compress")
+        telemetry.trace.instant(telemetry.tracks["scheduler"], "admit",
+                                float(index), ())
+        east.trace.instant(east.tracks["scheduler"], "pend",
+                           float(index), None)
     records = telemetry.trace.snapshot().records
     assert len(records) == 32
     assert not any(isinstance(field, dict)
@@ -206,12 +244,64 @@ def test_retained_records_hold_no_dict():
 def test_spans_on_one_scoped_track_share_one_string():
     root = Telemetry(tracing=True)
     nested = root.scoped("east").scoped("rack0")
-    nested.span("dpzip0", "serve", 0.0, 1.0, {"req": 1})
-    nested.span("dpzip0", "serve", 1.0, 2.0, {"req": 2})
-    root.scoped("east").scoped("rack0").instant("dpzip0", "mark", 3.0)
+    nested.trace.span(nested.tracks["dpzip0"], "serve", 0.0, 1.0, _REQ, 1)
+    nested.trace.span(nested.tracks["dpzip0"], "serve", 1.0, 2.0, _REQ, 2)
+    again = root.scoped("east").scoped("rack0")
+    again.trace.instant(again.tracks["dpzip0"], "mark", 3.0)
     first, second, third = root.trace.events.records
     assert first[1] == "east/rack0/dpzip0"
     assert first[1] is second[1] is third[1]
+
+
+_TRACING_MODULES = (control_module, fleet_module, router_module,
+                    scheduler_module, store_module)
+
+
+def _federation_telemetry():
+    """Telemetry report of ``examples/federation.json`` run for 1 ms."""
+    spec = FederationSpec.from_json(
+        (ROOT / "examples" / "federation.json").read_text())
+    spec = dataclasses.replace(spec, workload=dataclasses.replace(
+        spec.workload, duration_ns=1e6))
+    return Federation.from_spec(spec, sanitize=False).run().run.telemetry
+
+
+def test_federation_records_share_the_call_site_key_tuples():
+    records = _federation_telemetry().events.records
+    constants = [value for module in _TRACING_MODULES
+                 for name, value in vars(module).items()
+                 if name.endswith("_KEYS") and isinstance(value, tuple)]
+    call_sites = sum(
+        len(re.findall(r"\.trace\.(?:span|instant)\(",
+                       Path(module.__file__).read_text()))
+        for module in _TRACING_MODULES)
+    keys = {id(record[5]): record[5] for record in records
+            if record[5] is not None}
+    assert len(records) > 1000 and len(keys) > 1
+    assert all(any(key is constant for constant in constants)
+               for key in keys.values())
+    assert len(keys) <= call_sites
+    restored = pickle.loads(pickle.dumps(TraceEvents(records)))
+    assert len({id(record[5]) for record in restored.records
+                if record[5] is not None}) == len(keys)
+
+
+def test_every_event_is_recorded_through_the_recorder_methods(monkeypatch):
+    # The benchmark's traced run bills trace recording by wrapping
+    # these two methods on the class; a call site that reached the
+    # ring another way would record events the wrap never sees.
+    calls = collections.Counter()
+    for name in ("span", "instant"):
+        def counting(self, *args, _original=getattr(TraceRecorder, name),
+                     _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(TraceRecorder, name, counting)
+    telemetry = _federation_telemetry()
+    phases = collections.Counter(record[0]
+                                 for record in telemetry.events.records)
+    assert telemetry.dropped == 0 and telemetry.recorded > 1000
+    assert calls == {"span": phases["X"], "instant": phases["i"]}
 
 
 # -- completion log oracle ------------------------------------------------------
@@ -393,9 +483,9 @@ def test_trace_records_are_untracked_after_collection():
     recorder = TraceRecorder(64)
     for index in range(200):
         recorder.span(f"c{index % 3}/dev", "engine", index * 1.5,
-                      index * 1.5 + 7.0, {"req": index, "device": "dpzip0"})
+                      index * 1.5 + 7.0, ("req", "device"), index, "dpzip0")
         recorder.instant("scheduler", "admit", index * 1.5,
-                         {"req": index, "outcome": "admitted"})
+                         ("req", "outcome"), index, "admitted")
     # A record can leave the GC only once its shared key tuple has;
     # the second pass covers key tuples the first one reached last.
     gc.collect()

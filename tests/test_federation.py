@@ -59,7 +59,7 @@ from repro.federation import dispatch
 from repro.federation.dispatch import KEY_ENV, receive, serve_worker
 from repro.sweep import SweepAxis, SweepRunner, SweepSpec, WorkloadSpec
 from repro.sweep.runner import execute_point
-from repro.telemetry import DISABLED, Telemetry
+from repro.telemetry import DISABLED, ScopedTelemetry, Telemetry
 from repro.workloads.population import (
     DiurnalSpec,
     TenantPopulation,
@@ -292,8 +292,8 @@ class TestScopedTelemetry:
     def test_scoped_view_prefixes_tracks(self):
         root = Telemetry(tracing=True)
         east = root.scoped("east")
-        east.span("scheduler", "submit", 0.0, 10.0)
-        east.instant("control", "alert", 5.0)
+        east.trace.span(east.tracks["scheduler"], "submit", 0.0, 10.0)
+        east.trace.instant(east.tracks["control"], "alert", 5.0)
         tracks = [event[1] for event in root.trace.events]
         assert tracks == ["east/scheduler", "east/control"]
 
@@ -306,9 +306,17 @@ class TestScopedTelemetry:
     def test_scopes_compose_and_disabled_scopes_to_disabled(self):
         root = Telemetry(tracing=True)
         nested = root.scoped("east").scoped("rack0")
-        nested.span("dev", "op", 0.0, 1.0)
+        nested.trace.span(nested.tracks["dev"], "op", 0.0, 1.0)
         assert root.trace.events[0][1] == "east/rack0/dev"
         assert DISABLED.scoped("east") is DISABLED
+
+    def test_root_tracks_are_the_identity_and_only_the_recorder_records(
+            self):
+        root = Telemetry(tracing=True)
+        assert root.tracks["scheduler"] == "scheduler"
+        assert root.scoped("east").tracks["scheduler"] == "east/scheduler"
+        for cls in (Telemetry, ScopedTelemetry):
+            assert not hasattr(cls, "span") and not hasattr(cls, "instant")
 
 
 # -- federated serving ---------------------------------------------------------

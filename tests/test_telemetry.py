@@ -93,7 +93,7 @@ class TestTraceRecorder:
     def test_ring_buffer_drops_oldest(self):
         recorder = TraceRecorder(capacity=4)
         for i in range(10):
-            recorder.instant("t", f"e{i}", float(i), {"req": i})
+            recorder.instant("t", f"e{i}", float(i), ("req",), i)
         assert recorder.recorded == 10
         assert recorder.dropped == 6
         names = [event[2] for event in recorder.events]
@@ -101,13 +101,13 @@ class TestTraceRecorder:
 
     def test_span_duration_clamped_non_negative(self):
         recorder = TraceRecorder(capacity=8)
-        recorder.span("t", "s", 10.0, 5.0, {})
+        recorder.span("t", "s", 10.0, 5.0, ())
         assert recorder.events[0][4] == 0.0
 
     def test_document_shape(self):
         recorder = TraceRecorder(capacity=8)
-        recorder.span("dev", "serve", 1000.0, 3000.0, {"req": 1})
-        recorder.instant("scheduler", "admit", 500.0, {"req": 1})
+        recorder.span("dev", "serve", 1000.0, 3000.0, ("req",), 1)
+        recorder.instant("scheduler", "admit", 500.0, ("req",), 1)
         doc = trace_document(list(recorder.events),
                             dropped=recorder.dropped)
         validate_trace(doc)
@@ -277,7 +277,7 @@ class TestDeterminism:
 
     def test_render_trace_is_canonical(self):
         recorder = TraceRecorder(capacity=8)
-        recorder.instant("t", "e", 1.0, {"b": 2, "a": 1})
+        recorder.instant("t", "e", 1.0, ("b", "a"), 2, 1)
         doc = trace_document(list(recorder.events))
         text = render_trace(doc)
         assert text == json.dumps(json.loads(text), sort_keys=True,
@@ -316,15 +316,15 @@ class TestEmptyRunReporting:
 class TestTelemetryPhaseChains:
     def test_assert_request_phases_rejects_gaps(self):
         recorder = TraceRecorder(capacity=16)
-        recorder.instant("scheduler", "admit", 0.0, {"req": 1})
-        recorder.instant("scheduler", "complete", 9.0, {"req": 1})
+        recorder.instant("scheduler", "admit", 0.0, ("req",), 1)
+        recorder.instant("scheduler", "complete", 9.0, ("req",), 1)
         doc = trace_document(list(recorder.events))
         with pytest.raises(TelemetryError, match="lacks phase"):
             assert_request_phases(doc)
 
     def test_assert_request_phases_requires_a_chain(self):
         recorder = TraceRecorder(capacity=16)
-        recorder.instant("scheduler", "admit", 0.0, {"req": 1})
+        recorder.instant("scheduler", "admit", 0.0, ("req",), 1)
         doc = trace_document(list(recorder.events))
         with pytest.raises(TelemetryError, match="no completed request"):
             assert_request_phases(doc)
