@@ -8,9 +8,9 @@ the shapes the hot-path rewrites optimised:
 * **timeout storm** — thousands of processes sleeping in short hops,
   the allocation fast path (``timeout()``/``call_later`` push entries
   straight onto the heap; no bootstrap or relay Events);
-* **resource contention** — many workers cycling acquire/hold/release
-  over a small :class:`~repro.sim.engine.Resource`, the deque waiter
-  queues and the succeed/fire callback chain;
+* **store handoff** — callback producers and consumers passing items
+  through :class:`~repro.sim.engine.Store` ``put``/``get``, the deque
+  getter and item queues and the succeed/fire callback chain;
 * **callback chains** — many ``call_later`` chains alternating
   ``functools.partial`` and bound-method entries, the process-free
   shape of the per-request data plane and the run loop's first test.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.sim.engine import Resource, Simulator  # noqa: E402
+from repro.sim.engine import Simulator, Store  # noqa: E402
 
 #: CI smoke floor, events/sec.  Deliberately far below what the
 #: rewritten kernel does on a developer machine (~200k-460k/s) — the
@@ -54,23 +54,49 @@ def timeout_storm(processes: int = 200, hops: int = 50) -> int:
     return processes * hops
 
 
-def resource_contention(workers: int = 100, cycles: int = 50,
-                        capacity: int = 4) -> int:
-    """Workers cycling a small Resource; returns acquisitions served."""
+class _Handoff:
+    """A producer putting ``items`` items into a Store, one every
+    ``delay`` ns, and a consumer taking them with ``get`` and pausing
+    1.5x ``delay`` between takes: early takes park a getter, later ones
+    find items already queued."""
+
+    __slots__ = ("sim", "store", "delay", "items", "produced", "received")
+
+    def __init__(self, sim: Simulator, delay: float, items: int) -> None:
+        self.sim = sim
+        self.store = Store(sim)
+        self.delay = delay
+        self.items = items
+        self.produced = 0
+        self.received = 0
+
+    def produce(self) -> None:
+        self.store.put(self.produced)
+        self.produced += 1
+        if self.produced < self.items:
+            self.sim.call_later(self.delay, self.produce)
+
+    def consume(self) -> None:
+        self.store.get().add_callback(self.take)
+
+    def take(self, _event) -> None:
+        self.received += 1
+        if self.received < self.items:
+            self.sim.call_later(1.5 * self.delay, self.consume)
+
+
+def store_handoff(pairs: int = 100, items: int = 50) -> int:
+    """Staggered producer/consumer pairs; returns items handed off."""
     sim = Simulator()
-    resource = Resource(sim, capacity)
-
-    def worker(sim: Simulator):
-        for _ in range(cycles):
-            yield resource.acquire()
-            yield sim.timeout(5.0)
-            resource.release()
-
-    for _ in range(workers):
-        sim.spawn(worker(sim))
+    built = [_Handoff(sim, 5.0 + (index % 7), items)
+             for index in range(pairs)]
+    for pair in built:
+        sim.call_later(0.0, pair.consume)
+        sim.call_later(0.0, pair.produce)
     sim.run()
-    assert resource.total_acquisitions == workers * cycles
-    return workers * cycles
+    assert all(pair.received == items and not len(pair.store)
+               for pair in built)
+    return pairs * items
 
 
 class _Chain:
@@ -113,10 +139,10 @@ def test_bench_engine_timeout_storm(benchmark):
     benchmark.extra_info["events"] = events
 
 
-def test_bench_engine_resource_contention(benchmark):
-    """Waiter-queue churn: acquire/release over deque-backed queues."""
-    events = benchmark(resource_contention)
-    benchmark.extra_info["acquisitions"] = events
+def test_bench_engine_store_handoff(benchmark):
+    """Waiter-queue churn: put/get over deque-backed Store queues."""
+    events = benchmark(store_handoff)
+    benchmark.extra_info["handoffs"] = events
 
 
 def test_bench_engine_callback_chains(benchmark):
@@ -139,7 +165,7 @@ def _measure(repeats: int = 3) -> dict[str, float]:
     """Best-of-``repeats`` events/sec for each workload."""
     rates: dict[str, float] = {}
     for name, workload in (("timeout_storm", timeout_storm),
-                           ("resource_contention", resource_contention),
+                           ("store_handoff", store_handoff),
                            ("callback_chains", callback_chains)):
         workload()  # warm-up, untimed
         best = float("inf")

@@ -16,11 +16,10 @@ validation at each pop:
   must go through :meth:`Event.add_callback`, which schedules a fresh
   queue entry instead of mutating a fired event);
 * **waiter-queue leaks** — at :meth:`finish`, no
-  :class:`~repro.sim.engine.Resource` still has blocked acquirers, no
-  :class:`~repro.sim.engine.Store` still holds undelivered items, and
-  no QoS arbiter still has blocked virtual functions.  (Parked
-  ``Store.get()`` waiters are fine — perpetual server loops end every
-  run waiting for work that never comes.)
+  :class:`~repro.sim.engine.Store` still holds undelivered items and
+  no QoS arbiter (:mod:`repro.virt.qos`) still holds blocked or queued
+  requests.  (Parked ``Store.get()`` waiters are fine — a consumer may
+  end every run waiting for work that never comes.)
 
 Validation happens at pop time inside the run loop, never by changing
 what is scheduled or when, so a sanitized run's ``RunResult`` rows and
@@ -77,7 +76,7 @@ class SanitizedSimulator(Simulator):
         self.entries_checked = 0
 
     def _register_waitable(self, waitable: Any) -> None:
-        """Called by Resource/Store/arbiter constructors (via getattr)."""
+        """Called by Store/arbiter constructors (via getattr)."""
         self._waitables.append(waitable)
 
     # -- invariant helpers -----------------------------------------------------
@@ -173,24 +172,17 @@ class SanitizedSimulator(Simulator):
     def finish(self) -> None:
         """Audit waiter queues once the driver has drained the run.
 
-        Raises :class:`SanitizerError` naming every leak:  a
-        :class:`Resource` with blocked acquirers, a :class:`Store` with
-        undelivered items, or an arbiter with blocked requests.  Parked
-        ``Store.get()`` waiters are deliberately *not* leaks — server
-        loops legitimately end every run blocked on their next work
-        item.
+        Raises :class:`SanitizerError` naming every leak: a
+        :class:`Store` with undelivered items, or an arbiter with
+        blocked, undispatched or queued requests.  Parked
+        ``Store.get()`` waiters are deliberately *not* leaks — a
+        consumer legitimately ends a run waiting for its next item.
         """
         self._check_fired(self._batch_fired)
         self._check_fired(self._fired_events)
         leaks: list[str] = []
         for waitable in self._waitables:
             name = type(waitable).__name__
-            waiting = getattr(waitable, "_waiting", None)
-            if waiting:
-                leaks.append(
-                    f"{name} ended the run with {len(waiting)} blocked "
-                    f"acquirer(s)"
-                )
             items = getattr(waitable, "_items", None)
             if items:
                 leaks.append(

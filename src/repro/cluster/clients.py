@@ -84,7 +84,7 @@ class ClusterClient:
         self._on_done = None
 
     def start(self, on_done=None) -> None:
-        """Spawn this client's traffic processes on the simulator."""
+        """Schedule this client's first arrivals on the simulator."""
         self._on_done = on_done
         self._spawn()
 

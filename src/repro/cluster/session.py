@@ -136,16 +136,24 @@ def check_metrics_interval(metrics: MetricsRegistry | None,
 
 
 def metrics_sampler(sim: Simulator, registry: MetricsRegistry,
-                    horizon: float):
-    """Process ticking ``registry`` until the measurement window ends.
+                    horizon: float) -> None:
+    """Tick ``registry`` every interval until the measurement window ends.
 
     Bounded by ``horizon`` so the simulation's event queue still
-    drains once the clients stop submitting.
+    drains once the clients stop submitting.  Starts with a zero-delay
+    hop, so each tick keeps its place among same-instant entries.
     """
     interval = registry.interval_ns
-    while sim.now + interval <= horizon:
-        yield sim.timeout(interval)
+
+    def arm() -> None:
+        if sim.now + interval <= horizon:
+            sim.call_later(interval, tick)
+
+    def tick() -> None:
         registry.sample(sim.now)
+        arm()
+
+    sim.call_later(0.0, arm)
 
 
 class Cluster:
@@ -447,7 +455,7 @@ class Cluster:
             self.store.measure_until_ns = horizon
         if metrics is not None:
             self._register_default_gauges()
-            self.sim.spawn(metrics_sampler(self.sim, metrics, horizon))
+            metrics_sampler(self.sim, metrics, horizon)
         self._active_clients = len(self._clients)
         profiler = self._profiler
         if profiler is not None:

@@ -101,7 +101,7 @@ class Federation:
             cluster.scheduler.measure_until_ns = horizon
         if metrics is not None:
             self._register_gauges()
-            self.sim.spawn(metrics_sampler(self.sim, metrics, horizon))
+            metrics_sampler(self.sim, metrics, horizon)
         self._driver_active = True
         driver.start(on_done=self._driver_finished)
         self.sim.run()

@@ -27,13 +27,14 @@ experiment uses to inject a brown-out mid-run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import ServiceError
 from repro.hw.power import device_active_w, plan_power_cap
 from repro.service.fleet import DeviceState, FleetDevice
 from repro.service.scheduler import SchedulerCore
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Simulator
 
 #: How often a drain waits between in-flight checks before offlining.
 DRAIN_POLL_NS = 1_000.0
@@ -53,18 +54,17 @@ class FleetController:
 
     # -- scheduling ------------------------------------------------------------
 
-    def at(self, time_ns: float, action: Callable[[], Any]) -> Process:
+    def at(self, time_ns: float, action: Callable[[], Any]) -> None:
         """Run ``action`` at virtual time ``time_ns`` (>= now)."""
-        delay = time_ns - self.sim.now
+        sim = self.sim
+        delay = time_ns - sim.now
         if delay < 0:
             raise ServiceError(
-                f"cannot schedule at {time_ns} ns; now is {self.sim.now}"
+                f"cannot schedule at {time_ns} ns; now is {sim.now}"
             )
-
-        def fire() -> Generator[Any, Any, None]:
-            yield self.sim.timeout(delay)
-            action()
-        return self.sim.spawn(fire())
+        # Armed from a zero-delay hop, after the entries already due
+        # now: that sequence number decides ties at ``time_ns``.
+        sim.call_later(0.0, partial(sim.call_later, delay, action))
 
     def _log(self, action: str, device: str, detail: str = "") -> None:
         self.events.append((self.sim.now, action, device, detail))
@@ -98,7 +98,7 @@ class FleetController:
         if member.sim is not self.sim:
             raise ServiceError(
                 f"{member.name} was built on a different simulator; its "
-                f"serving processes would never run on this one"
+                f"serving callbacks would never run on this one"
             )
         member.set_online()
         member.telemetry = self.scheduler.telemetry
@@ -106,7 +106,7 @@ class FleetController:
         self._log("hotplug", member.name)
         self.scheduler.pump()
 
-    def unplug(self, name: str, drain: bool = True) -> Process:
+    def unplug(self, name: str, drain: bool = True) -> None:
         """Remove device ``name`` from service.
 
         ``drain=True`` is the graceful path: the device stops accepting
@@ -115,8 +115,9 @@ class FleetController:
         that has not rung a doorbell is reclaimed and migrated through
         the scheduler (re-placed, queued, or spilled via the CPU path);
         only work already past the doorbell still completes on the
-        device before it offlines.  Returns the process that resolves
-        once the device is offline.
+        device before it offlines.  Either way the device goes offline
+        (logged as ``offline``) once an in-flight check, repeated every
+        :data:`DRAIN_POLL_NS`, finds it idle.
         """
         device = self._find(name)
         if device.state is DeviceState.OFFLINE:
@@ -133,13 +134,15 @@ class FleetController:
             if reclaimed:
                 self._log("migrate", name, f"{len(reclaimed)} requests")
                 self.scheduler.migrate(reclaimed)
+        self.sim.call_later(0.0, partial(self._offline_when_drained, device))
 
-        def offline_when_drained() -> Generator[Any, Any, None]:
-            while device.inflight > 0:
-                yield self.sim.timeout(DRAIN_POLL_NS)
-            device.set_offline()
-            self._log("offline", name)
-        return self.sim.spawn(offline_when_drained())
+    def _offline_when_drained(self, device: FleetDevice) -> None:
+        if device.inflight > 0:
+            self.sim.call_later(DRAIN_POLL_NS,
+                                partial(self._offline_when_drained, device))
+            return
+        device.set_offline()
+        self._log("offline", device.name)
 
     # -- derating --------------------------------------------------------------
 

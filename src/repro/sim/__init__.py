@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel and statistics collectors."""
 
-from repro.sim.engine import Event, Process, Resource, Simulator, Store
+from repro.sim.engine import Event, Process, Simulator, Store
 from repro.sim.stats import (
     KeyedLatencyRecorder,
     LatencyRecorder,
@@ -16,7 +16,6 @@ __all__ = [
     "KeyedLatencyRecorder",
     "LatencyRecorder",
     "Process",
-    "Resource",
     "Simulator",
     "Store",
     "ThroughputTracker",

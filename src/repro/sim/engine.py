@@ -1,11 +1,12 @@
 """Minimal discrete-event simulation kernel.
 
-A deliberately small, dependency-free engine in the style of SimPy:
-*processes* are Python generators that ``yield`` events (timeouts,
-resource grants, other processes), and the :class:`Simulator` advances
-virtual time in nanoseconds.  Device service times are computed by the
-cycle models in :mod:`repro.hw`, so microbenchmark and system-level
-results share one timing source.
+A deliberately small, dependency-free engine: the :class:`Simulator`
+advances virtual time in nanoseconds and runs *callbacks* — bare
+callables scheduled with :meth:`Simulator.call_later`, or waiters
+registered on an :class:`Event` with :meth:`Event.add_callback`.
+Device service times are computed by the cycle models in
+:mod:`repro.hw`, so microbenchmark and system-level results share one
+timing source.
 
 The kernel is the hottest code in the repository — every simulated
 request crosses its heap six or seven times — so the implementation
@@ -13,24 +14,26 @@ trades a little uniformity for allocation-free fast paths:
 
 * the event queue holds ``(when, seq, item)`` entries where ``item``
   is either an :class:`Event` to fire or a bare callable to invoke, so
-  callbacks (process bootstrap, data-plane hops, batch timers,
-  late-waiter relays) schedule without constructing an ``Event`` each;
+  callbacks (data-plane hops, batch timers, late-waiter relays,
+  control-plane actions) schedule without constructing an ``Event``
+  each;
 * ``Event._callbacks`` stores ``None`` / a single callable / a list,
   in that order of escalation — almost every event has exactly one
   waiter, so the common case allocates nothing;
 * :meth:`Simulator.run` hoists its lookups and fires all entries that
   share a timestamp in one inner loop.
 
-The per-request path does not use processes at all: the device
-submitter and pre/engine/post pipeline, the QoS engine loops, the
-block store's hit and miss service and every client (open-loop
-arrivals and windowed connections) are chains of bare callbacks
-(``functools.partial`` objects and bound methods) that hop with
-:meth:`Simulator.call_later` and :meth:`Event.add_callback`, so
-``run`` tests for those two types first.  Generator processes remain
-only where work is per run, not per request, and readability beats
-the resume cost: the control plane (reconfiguration and the fleet
-controller), the telemetry samplers and the ``virt.tenancy`` tenants.
+Every simulated activity in the package is a chain of callbacks; a
+loop re-arms itself with ``call_later``.  The per-request path — the
+device submitter and pre/engine/post pipeline, the QoS engine slots,
+the block store and every client — hops with ``functools.partial``
+objects and bound methods, so ``run`` tests for those two types
+first.  The per-run sites — the fleet controller's scheduled actions
+and drain polls, the metrics sampler and the ``virt.tenancy`` tenants
+— are callbacks too.  :class:`Process` (a generator driven by the
+events it yields) remains only because the benchmark harness's tracer
+wraps ``Process._step``; it goes once that harness stops depending on
+it (ROADMAP item 1).
 
 Determinism is unchanged: entries fire in ``(when, seq)`` order and
 ``seq`` is a single monotone counter, so two runs of the same seeded
@@ -40,13 +43,14 @@ Example
 -------
 >>> sim = Simulator()
 >>> log = []
->>> def worker(sim):
-...     yield sim.timeout(5)
+>>> def tick(left):
 ...     log.append(sim.now)
->>> _ = sim.spawn(worker(sim))
+...     if left > 1:
+...         sim.call_later(5, partial(tick, left - 1))
+>>> sim.call_later(5, partial(tick, 2))
 >>> sim.run()
 >>> log
-[5.0]
+[5.0, 10.0]
 """
 
 from __future__ import annotations
@@ -56,13 +60,13 @@ from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from types import MethodType
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
 
 
 class Event:
-    """A one-shot occurrence processes can wait on."""
+    """A one-shot occurrence callbacks can wait on."""
 
     __slots__ = ("sim", "_callbacks", "triggered", "fired", "value")
 
@@ -76,7 +80,7 @@ class Event:
         self.value: Any = None
 
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event; waiting processes resume this tick."""
+        """Trigger the event; its waiters run this tick."""
         if self.triggered:
             raise SimulationError("event already triggered")
         self.triggered = True
@@ -89,8 +93,8 @@ class Event:
         """Register ``callback``; late registration still runs it."""
         if self.fired:
             # Waiting on an already-completed event resumes on the next
-            # simulation step at the current time (e.g. joining a
-            # process that finished earlier).
+            # simulation step at the current time (e.g. waiting on a
+            # completion that already happened).
             sim = self.sim
             heappush(sim._queue, (sim._now, next(sim._sequence),
                                   lambda: callback(self)))
@@ -117,7 +121,11 @@ class Event:
 
 
 class Process(Event):
-    """A running generator; completes when the generator returns."""
+    """A running generator; completes when the generator returns.
+
+    No module in the package spawns one any more; the class stays for
+    the benchmark harness's tracer, which wraps :meth:`_step`.
+    """
 
     __slots__ = ("_generator",)
 
@@ -209,9 +217,6 @@ class Simulator:
         """Start a process from a generator."""
         return Process(self, generator)
 
-    def _schedule_event(self, event: Event) -> None:
-        heappush(self._queue, (self._now, next(self._sequence), event))
-
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains or virtual time passes ``until``.
 
@@ -235,91 +240,18 @@ class Simulator:
                 # common entry, so they are tested first.
                 if cls is partial or cls is MethodType:
                     item()
-                elif cls is Event or cls is Process:
+                elif cls is Event:
                     item._fire()
-                elif isinstance(item, Event):
+                elif isinstance(item, Event):  # Process and other subclasses
                     item._fire()
                 else:
                     item()
         if until is not None:
             self._now = max(self._now, until)
 
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Event that triggers once every listed event has triggered."""
-        events = list(events)
-        gate = Event(self)
-        remaining = len(events)
-        if remaining == 0:
-            gate.succeed([])
-            return gate
-        results: list[Any] = [None] * remaining
-        state = {"left": remaining}
-
-        def make_callback(index: int) -> Callable[[Event], None]:
-            def callback(event: Event) -> None:
-                results[index] = event.value
-                state["left"] -= 1
-                if state["left"] == 0:
-                    gate.succeed(results)
-            return callback
-
-        for index, event in enumerate(events):
-            event.add_callback(make_callback(index))
-        return gate
-
-
-class Resource:
-    """FIFO resource with fixed capacity (PCIe queue slots, engines...)."""
-
-    __slots__ = ("sim", "capacity", "in_use", "_waiting",
-                 "total_acquisitions", "peak_in_use")
-
-    def __init__(self, sim: Simulator, capacity: int) -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiting: deque[Event] = deque()
-        self.total_acquisitions = 0
-        self.peak_in_use = 0
-        # The runtime sanitizer audits waiter queues at run end; a
-        # plain Simulator has no hook, so this costs one getattr at
-        # construction and nothing per event.
-        register = getattr(sim, "_register_waitable", None)
-        if register is not None:
-            register(self)
-
-    def acquire(self) -> Event:
-        """Event that triggers when a slot is granted."""
-        event = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            self.peak_in_use = max(self.peak_in_use, self.in_use)
-            self.total_acquisitions += 1
-            event.succeed()
-        else:
-            self._waiting.append(event)
-        return event
-
-    def release(self) -> None:
-        """Free a slot; the oldest waiter (if any) is granted."""
-        if self.in_use <= 0:
-            raise SimulationError("release without acquire")
-        if self._waiting:
-            waiter = self._waiting.popleft()
-            self.total_acquisitions += 1
-            waiter.succeed()
-        else:
-            self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
 
 class Store:
-    """Unbounded FIFO queue of items passed between processes."""
+    """Unbounded FIFO queue of items passed between callbacks."""
 
     __slots__ = ("sim", "_items", "_getters")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Generator
+from functools import partial
 
 from repro.devices.sriov import ArbitrationPolicy, VfConfig
 from repro.errors import ConfigurationError
@@ -94,45 +94,55 @@ class MultiTenantSim:
                                   vf_count)
         horizon_ns = duration_s * 1e9
         series = [TimeSeries(interval_ns=1e9) for _ in range(vf_count)]
-        request_bytes = self.profile.request_bytes
+        profile = self.profile
+        request_bytes = profile.request_bytes
 
-        def make_recorder(vf_index: int):
-            def record(_event) -> None:
-                if sim.now < horizon_ns:
-                    series[vf_index].record(sim.now, request_bytes)
-            return record
-
-        recorders = [make_recorder(i) for i in range(vf_count)]
-
-        def tenant(vf_index: int) -> Generator[Any, Any, None]:
+        def tenant(vf_index: int) -> None:
+            """One VM's closed loop as a callback chain: think, submit
+            a burst, and think again once the whole burst completes."""
             rng = random.Random(self.seed * 7919 + vf_index)
-            profile = self.profile
-            while sim.now < horizon_ns:
+            vf_series = series[vf_index]
+            outstanding = 0
+
+            def think() -> None:
+                if sim.now >= horizon_ns:
+                    return
                 if profile.steady:
-                    think = profile.think_ns_mean
+                    delay = profile.think_ns_mean
                     burst = profile.burst_min
                 else:
-                    think = rng.expovariate(1.0 / profile.think_ns_mean)
+                    delay = rng.expovariate(1.0 / profile.think_ns_mean)
                     burst = rng.randint(profile.burst_min, profile.burst_max)
-                yield sim.timeout(think)
-                dones = []
+                sim.call_later(delay, partial(submit, burst))
+
+            def submit(burst: int) -> None:
+                nonlocal outstanding
+                outstanding = burst
+                if burst == 0:
+                    sim.call_later(0.0, think)
                 for _ in range(burst):
                     request = VfRequest(
                         vf_index=vf_index,
-                        nbytes=profile.request_bytes,
+                        nbytes=request_bytes,
                         service_ns=self.service.service_ns(
-                            profile.request_bytes, rng,
-                            profile.service_jitter),
+                            request_bytes, rng, profile.service_jitter),
                     )
-                    done = arbiter.submit(request)
-                    # Attribute bytes at each request's own completion
-                    # instant so second-granular bins are exact.
-                    done.add_callback(recorders[vf_index])
-                    dones.append(done)
-                yield sim.all_of(dones)
+                    arbiter.submit(request).add_callback(completed)
+
+            def completed(_event) -> None:
+                # Attribute bytes at each request's own completion
+                # instant so second-granular bins are exact.
+                nonlocal outstanding
+                if sim.now < horizon_ns:
+                    vf_series.record(sim.now, request_bytes)
+                outstanding -= 1
+                if outstanding == 0:
+                    sim.call_later(0.0, think)
+
+            sim.call_later(0.0, think)
 
         for vf_index in range(vf_count):
-            sim.spawn(tenant(vf_index))
+            tenant(vf_index)
         sim.run(until=horizon_ns)
         per_vm_series = [s.series_mbps(end=int(duration_s)) for s in series]
         per_vm_cv = [s.cv_percent(drop_warmup=2) for s in series]

@@ -12,6 +12,7 @@ observes, never perturbs.
 
 import dataclasses
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,8 @@ from repro.analyzers import (
 from repro.analyzers.lint import main as lint_main
 from repro.cluster import Cluster, TelemetrySpec, default_cluster_spec
 from repro.errors import AnalyzerError, SanitizerError
-from repro.sim.engine import Event, Resource, Simulator, Store
+from repro.sim.engine import Event, Simulator, Store
+from repro.virt.qos import FairArbiter, FcfsArbiter, VfRequest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -474,15 +476,6 @@ class TestSanitizedSimulator:
             sim.run()
             sim.finish()
 
-    def test_resource_waiter_leak_detected(self):
-        sim = SanitizedSimulator()
-        resource = Resource(sim, capacity=1)
-        resource.acquire()
-        resource.acquire()  # parks forever; never released
-        sim.run()
-        with pytest.raises(SanitizerError, match="blocked acquirer"):
-            sim.finish()
-
     def test_store_undelivered_items_detected(self):
         sim = SanitizedSimulator()
         store = Store(sim)
@@ -502,14 +495,55 @@ class TestSanitizedSimulator:
 
     def test_clean_run_finishes_quietly(self):
         sim = SanitizedSimulator()
-        resource = Resource(sim, capacity=1)
+        store = Store(sim)
+        got = []
+        store.get().add_callback(lambda event: got.append(event.value))
+        sim.call_later(3, partial(store.put, "item"))
+        sim.run()
+        sim.finish()
+        assert got == ["item"]
 
-        def worker(sim):
-            yield resource.acquire()
-            yield sim.timeout(3)
-            resource.release()
+    def test_fcfs_blocked_submissions_detected(self):
+        # One engine, ceiling 1: the first request is served, the second
+        # moves into the hardware queue, the third is still blocked at
+        # the ceiling when the run is cut short.
+        sim = SanitizedSimulator()
+        arbiter = FcfsArbiter(sim, engine_slots=1, queue_ceiling=1)
+        for _ in range(3):
+            arbiter.submit(VfRequest(vf_index=0, nbytes=1, service_ns=100))
+        sim.run(until=50)
+        with pytest.raises(SanitizerError, match="1 blocked request"):
+            sim.finish()
 
-        sim.spawn(worker(sim))
+    def test_fcfs_undispatched_queue_detected(self):
+        sim = SanitizedSimulator()
+        arbiter = FcfsArbiter(sim, engine_slots=1, queue_ceiling=8)
+        for _ in range(2):
+            arbiter.submit(VfRequest(vf_index=0, nbytes=1, service_ns=100))
+        sim.run(until=50)
+        with pytest.raises(SanitizerError,
+                           match="1 undispatched request") as raised:
+            sim.finish()
+        assert "blocked" not in str(raised.value)
+
+    def test_fair_per_vf_queues_detected(self):
+        sim = SanitizedSimulator()
+        arbiter = FairArbiter(sim, engine_slots=1, vf_count=2)
+        for vf_index in (0, 1, 0):
+            arbiter.submit(VfRequest(vf_index=vf_index, nbytes=1,
+                                     service_ns=100))
+        sim.run(until=50)
+        with pytest.raises(SanitizerError, match="2 queued request"):
+            sim.finish()
+
+    def test_drained_arbiters_finish_quietly(self):
+        sim = SanitizedSimulator()
+        arbiters = (FcfsArbiter(sim, engine_slots=1, queue_ceiling=1),
+                    FairArbiter(sim, engine_slots=1, vf_count=2))
+        for arbiter in arbiters:
+            for vf_index in (0, 1, 0):
+                arbiter.submit(VfRequest(vf_index=vf_index, nbytes=1,
+                                         service_ns=100))
         sim.run()
         sim.finish()
 

@@ -47,9 +47,7 @@ class TestScheduling:
         sim = Simulator()
         service, _ = two_device_service(sim)
         controller = FleetController(service)
-        def tick():
-            yield sim.timeout(100.0)
-        sim.spawn(tick())
+        sim.call_later(100.0, lambda: None)
         sim.run()
         with pytest.raises(ServiceError):
             controller.at(50.0, lambda: None)

@@ -10,7 +10,6 @@ from repro.errors import SimulationError
 from repro.sim import (
     KeyedLatencyRecorder,
     LatencyRecorder,
-    Resource,
     Simulator,
     Store,
     ThroughputTracker,
@@ -97,19 +96,6 @@ class TestSimulator:
         sim.run()
         assert log == [5.0]
 
-    def test_all_of_gates_on_every_event(self):
-        sim = Simulator()
-        log = []
-
-        def waiter(sim):
-            events = [sim.timeout(3), sim.timeout(9), sim.timeout(6)]
-            yield sim.all_of(events)
-            log.append(sim.now)
-
-        sim.spawn(waiter(sim))
-        sim.run()
-        assert log == [9.0]
-
     def test_event_double_succeed_rejected(self):
         sim = Simulator()
         event = sim.event()
@@ -184,43 +170,6 @@ class TestSimulator:
         assert log == ["early"] and sim.now == 5
         sim.run()
         assert log == ["early", "late"] and sim.now == 8.0
-
-
-class TestResource:
-    def test_capacity_enforced(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        order = []
-
-        def worker(sim, name, hold):
-            yield resource.acquire()
-            order.append(("start", name, sim.now))
-            yield sim.timeout(hold)
-            resource.release()
-
-        sim.spawn(worker(sim, "a", 10))
-        sim.spawn(worker(sim, "b", 5))
-        sim.run()
-        assert order == [("start", "a", 0.0), ("start", "b", 10.0)]
-
-    def test_release_without_acquire_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Resource(sim, 1).release()
-
-    def test_peak_usage_tracked(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=3)
-
-        def worker(sim):
-            yield resource.acquire()
-            yield sim.timeout(5)
-            resource.release()
-
-        for _ in range(3):
-            sim.spawn(worker(sim))
-        sim.run()
-        assert resource.peak_in_use == 3
 
 
 class TestStore:
