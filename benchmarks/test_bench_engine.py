@@ -13,7 +13,10 @@ the shapes the hot-path rewrites optimised:
   getter and item queues and the succeed/fire callback chain;
 * **callback chains** — many ``call_later`` chains alternating
   ``functools.partial`` and bound-method entries, the process-free
-  shape of the per-request data plane and the run loop's first test.
+  shape of the per-request data plane and the run loop's first test;
+* **same-instant fan-out** — chains whose every hop fans out into
+  zero-delay callbacks, the same-instant lane that doorbell rings,
+  engine completions and event waiters go through.
 
 Run under pytest-benchmark for calibrated numbers, or as a script
 (``python benchmarks/test_bench_engine.py``) for the CI smoke mode:
@@ -133,6 +136,47 @@ def callback_chains(chains: int = 200, hops: int = 50) -> int:
     return chains * hops
 
 
+class _Fanout:
+    """One chain: each hop fans out ``width`` zero-delay callbacks, and
+    the last of them schedules the next hop ``delay`` ns ahead."""
+
+    __slots__ = ("sim", "delay", "width", "left", "fired")
+
+    def __init__(self, sim: Simulator, delay: float, width: int,
+                 hops: int) -> None:
+        self.sim = sim
+        self.delay = delay
+        self.width = width
+        self.left = hops
+        self.fired = 0
+
+    def hop(self) -> None:
+        call_later = self.sim.call_later
+        for index in range(self.width):
+            call_later(0.0, partial(self.leaf, index))
+
+    def leaf(self, index: int) -> None:
+        self.fired += 1
+        if index == self.width - 1:
+            self.left -= 1
+            if self.left > 0:
+                self.sim.call_later(self.delay, self.hop)
+
+
+def same_instant_fanout(chains: int = 100, hops: int = 20,
+                        width: int = 4) -> int:
+    """Staggered fan-out chains; returns callbacks fired."""
+    sim = Simulator()
+    built = [_Fanout(sim, 10.0 + (index % 7), width, hops)
+             for index in range(chains)]
+    for chain in built:
+        sim.call_later(0.0, chain.hop)
+    sim.run()
+    assert all(chain.left == 0 and chain.fired == hops * width
+               for chain in built)
+    return chains * hops * (width + 1)
+
+
 def test_bench_engine_timeout_storm(benchmark):
     """Raw timeout throughput: the kernel's allocation fast path."""
     events = benchmark(timeout_storm)
@@ -151,6 +195,12 @@ def test_bench_engine_callback_chains(benchmark):
     benchmark.extra_info["callbacks"] = events
 
 
+def test_bench_engine_same_instant_fanout(benchmark):
+    """Same-instant throughput: zero-delay entries on the lane."""
+    events = benchmark(same_instant_fanout)
+    benchmark.extra_info["callbacks"] = events
+
+
 def test_engine_events_per_sec_floor():
     """Smoke acceptance: every workload clears the (loose) CI floor."""
     for name, rate in _measure().items():
@@ -166,7 +216,8 @@ def _measure(repeats: int = 3) -> dict[str, float]:
     rates: dict[str, float] = {}
     for name, workload in (("timeout_storm", timeout_storm),
                            ("store_handoff", store_handoff),
-                           ("callback_chains", callback_chains)):
+                           ("callback_chains", callback_chains),
+                           ("same_instant_fanout", same_instant_fanout)):
         workload()  # warm-up, untimed
         best = float("inf")
         events = 0

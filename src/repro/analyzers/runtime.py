@@ -6,11 +6,11 @@ the exact same pop order and dispatch as the production kernel, adding
 validation at each pop:
 
 * **monotonic time** — popped timestamps never decrease and never fall
-  behind the clock by more than the engine's own 1e-9 tolerance;
-* **heap-entry discipline** — every queue entry is a
-  ``(when, seq, item)`` triple with a numeric ``when``, an ``int``
-  ``seq`` that is unique across the run, and an ``item`` that is an
-  :class:`Event` or a bare callable;
+  behind the clock by more than 1e-9 ns;
+* **entry discipline** — every heap entry is a ``(when, seq, item)``
+  triple with a numeric ``when`` and an ``int`` ``seq`` that is unique
+  across the run, and every item the run fires — from the heap or from
+  the same-instant lane — is an :class:`Event` or a bare callable;
 * **event lifecycle** — an event fires exactly once, and its callback
   slot is empty immediately after firing and stays empty (late waiters
   must go through :meth:`Event.add_callback`, which schedules a fresh
@@ -36,7 +36,7 @@ import os
 from heapq import heappop
 from typing import Any
 
-from repro.errors import SanitizerError
+from repro.errors import SanitizerError, SimulationError
 from repro.sim.engine import Event, Simulator
 
 __all__ = ["SanitizedSimulator", "sanitize_from_env"]
@@ -86,7 +86,7 @@ class SanitizedSimulator(Simulator):
             raise SanitizerError(
                 f"heap entry {entry!r} is not a (when, seq, item) triple"
             )
-        when, seq, item = entry
+        when, seq, _ = entry
         if not isinstance(when, (int, float)):
             raise SanitizerError(
                 f"heap entry timestamp {when!r} is not a number"
@@ -101,11 +101,6 @@ class SanitizedSimulator(Simulator):
                 f"numbers must come from the simulator's single counter"
             )
         self._seen_seqs.add(seq)
-        if not isinstance(item, Event) and not callable(item):
-            raise SanitizerError(
-                f"heap entry item {item!r} is neither an Event nor a "
-                f"callable"
-            )
 
     def _check_fired(self, events: list[Event]) -> None:
         """Fired events must keep an empty callback slot forever."""
@@ -123,8 +118,20 @@ class SanitizedSimulator(Simulator):
     def run(self, until: float | None = None) -> None:
         """Identical pop order and dispatch to :meth:`Simulator.run`,
         with each entry validated as it is popped."""
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is before the clock ({self._now})"
+            )
         queue = self._queue
-        while queue:
+        lane = self._lane
+        while True:
+            while lane:
+                self._dispatch(lane.popleft())
+            self._check_fired(self._batch_fired)
+            self._fired_events.extend(self._batch_fired)
+            del self._batch_fired[:]
+            if not queue:
+                break
             when = queue[0][0]
             if until is not None and when > until:
                 self._now = until
@@ -136,36 +143,39 @@ class SanitizedSimulator(Simulator):
                 )
             self._now = when
             while queue and queue[0][0] == when:
-                entry = queue[0]
-                self._check_entry(entry)
-                item = heappop(queue)[2]
-                self.entries_checked += 1
-                if isinstance(item, Event):
-                    if item.fired:
-                        raise SanitizerError(
-                            f"{type(item).__name__} fired twice; events "
-                            f"are one-shot"
-                        )
-                    if not item.triggered:
-                        raise SanitizerError(
-                            f"{type(item).__name__} reached the queue "
-                            f"without being triggered"
-                        )
-                    item._fire()
-                    if item._callbacks is not None:
-                        raise SanitizerError(
-                            "event callback slot non-empty immediately "
-                            "after firing; _fire must clear it and "
-                            "late waiters must schedule fresh entries"
-                        )
-                    self._batch_fired.append(item)
-                else:
-                    item()
-            self._check_fired(self._batch_fired)
-            self._fired_events.extend(self._batch_fired)
-            del self._batch_fired[:]
+                self._check_entry(queue[0])
+                lane.append(heappop(queue)[2])
         if until is not None:
             self._now = max(self._now, until)
+
+    def _dispatch(self, item: Any) -> None:
+        """Fire one lane item, checking its Event lifecycle."""
+        self.entries_checked += 1
+        if not isinstance(item, Event):
+            if not callable(item):
+                raise SanitizerError(
+                    f"queue item {item!r} is neither an Event nor a "
+                    f"callable"
+                )
+            item()
+            return
+        if item.fired:
+            raise SanitizerError(
+                f"{type(item).__name__} fired twice; events are one-shot"
+            )
+        if not item.triggered:
+            raise SanitizerError(
+                f"{type(item).__name__} reached the queue without being "
+                f"triggered"
+            )
+        item._fire()
+        if item._callbacks is not None:
+            raise SanitizerError(
+                "event callback slot non-empty immediately after firing; "
+                "_fire must clear it and late waiters must schedule fresh "
+                "entries"
+            )
+        self._batch_fired.append(item)
 
     # -- end-of-run audit ------------------------------------------------------
 

@@ -12,8 +12,8 @@ Part (c): fleet power draw as a *time series* — a telemetry-enabled
 cluster run samples instantaneous draw through the metrics registry
 (``power_w`` gauge, :meth:`repro.profiling.powermeter.PowerMeter.
 fleet_draw_w`), replacing the point estimates above with the load-
-following trajectory the planned energy closed loop (ROADMAP item 4)
-will regulate against.
+following trajectory a power-capping control loop would regulate
+against.
 """
 
 from __future__ import annotations

@@ -337,10 +337,10 @@ class FleetDevice:
     # -- data plane ------------------------------------------------------------
     #
     # Each request walks the paper's Fig. 2 stages — doorbell, pre,
-    # engine, post — as a chain of kernel callbacks, one heap entry per
-    # hop, so no stage pays a generator resume.  The push order of those
-    # entries fixes the event interleaving the golden run pins: adding,
-    # dropping or reordering a hop is a semantic change.
+    # engine, post — as a chain of kernel callbacks, one kernel entry
+    # per hop, so no stage pays a generator resume.  The push order of
+    # those entries fixes the event interleaving the golden run pins:
+    # adding, dropping or reordering a hop is a semantic change.
 
     def _launch_batch(self, batch: list[_Submission]) -> None:
         self.batches_submitted += 1
@@ -384,9 +384,10 @@ class FleetDevice:
             vf_index=vf_index,
             nbytes=request.nbytes,
             service_ns=engine_ns,
-        )).add_callback(partial(self._leave_engine, submission))
+            on_done=partial(self._leave_engine, submission),
+        ))
 
-    def _leave_engine(self, submission: _Submission, event: Event) -> None:
+    def _leave_engine(self, submission: _Submission) -> None:
         post_ns = submission.cost.post_ns
         if post_ns > 0:
             self.sim.call_later(post_ns, partial(self._finish, submission))

@@ -9,19 +9,23 @@ Device service times are computed by the cycle models in
 timing source.
 
 The kernel is the hottest code in the repository — every simulated
-request crosses its heap six or seven times — so the implementation
+request passes through it six or seven times — so the implementation
 trades a little uniformity for allocation-free fast paths:
 
-* the event queue holds ``(when, seq, item)`` entries where ``item``
-  is either an :class:`Event` to fire or a bare callable to invoke, so
-  callbacks (data-plane hops, batch timers, late-waiter relays,
-  control-plane actions) schedule without constructing an ``Event``
-  each;
+* an entry's ``item`` is either an :class:`Event` to fire or a bare
+  callable to invoke, so callbacks (data-plane hops, batch timers,
+  late-waiter relays, control-plane actions) schedule without
+  constructing an ``Event`` each;
+* an entry due later than now is a ``(when, seq, item)`` tuple on the
+  heap; an entry due *at* the current instant (a succeeded event, a
+  late waiter, a zero-delay hop — about 40% of all entries) is the
+  bare ``item`` appended to a FIFO deque, the *lane*, so it pays
+  neither an O(log n) push and pop nor a tuple;
 * ``Event._callbacks`` stores ``None`` / a single callable / a list,
   in that order of escalation — almost every event has exactly one
   waiter, so the common case allocates nothing;
-* :meth:`Simulator.run` hoists its lookups and fires all entries that
-  share a timestamp in one inner loop.
+* :meth:`Simulator.run` hoists its lookups and fires every entry of
+  an instant from the lane, in one inner loop.
 
 Every simulated activity in the package is a chain of callbacks; a
 loop re-arms itself with ``call_later``.  The per-request path — the
@@ -37,7 +41,11 @@ it (ROADMAP item 1).
 
 Determinism is unchanged: entries fire in ``(when, seq)`` order and
 ``seq`` is a single monotone counter, so two runs of the same seeded
-workload interleave identically.
+workload interleave identically.  A lane entry draws its ``seq`` too,
+though it does not store it: every heap entry due at an instant T was
+pushed before the clock reached T, so its ``seq`` is smaller than
+that of any lane entry pushed at T, and firing T's heap entries first
+and then the lane in FIFO order *is* ``(when, seq)`` order.
 
 Example
 -------
@@ -86,7 +94,8 @@ class Event:
         self.triggered = True
         self.value = value
         sim = self.sim
-        heappush(sim._queue, (sim._now, next(sim._sequence), self))
+        next(sim._sequence)
+        sim._lane.append(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -96,8 +105,8 @@ class Event:
             # simulation step at the current time (e.g. waiting on a
             # completion that already happened).
             sim = self.sim
-            heappush(sim._queue, (sim._now, next(sim._sequence),
-                                  lambda: callback(self)))
+            next(sim._sequence)
+            sim._lane.append(partial(callback, self))
             return
         callbacks = self._callbacks
         if callbacks is None:
@@ -136,7 +145,8 @@ class Process(Event):
         # Kick off on the next simulation step at the current time; the
         # bootstrap is a bare callable, so spawning a process costs no
         # extra Event.
-        heappush(sim._queue, (sim._now, next(sim._sequence), self._start))
+        next(sim._sequence)
+        sim._lane.append(self._start)
 
     def _start(self) -> None:
         self._step(None)
@@ -172,11 +182,14 @@ class Process(Event):
 class Simulator:
     """Event loop with a nanosecond virtual clock."""
 
-    __slots__ = ("_now", "_queue", "_sequence")
+    __slots__ = ("_now", "_queue", "_lane", "_sequence")
 
     def __init__(self) -> None:
         self._now = 0.0
+        # Entries due after now, as (when, seq, item) heap tuples.
         self._queue: list[tuple[float, int, Any]] = []
+        # Entries due at now, as bare items in seq order.
+        self._lane: deque[Any] = deque()
         self._sequence = itertools.count()
 
     @property
@@ -191,8 +204,12 @@ class Simulator:
         event = Event(self)
         event.triggered = True  # scheduled, cannot be re-succeeded
         event.value = value
-        heappush(self._queue, (self._now + delay, next(self._sequence),
-                               event))
+        when = self._now + delay
+        if when == self._now:
+            next(self._sequence)
+            self._lane.append(event)
+        else:
+            heappush(self._queue, (when, next(self._sequence), event))
         return event
 
     def call_later(self, delay: float,
@@ -203,11 +220,17 @@ class Simulator:
         do not need an :class:`Event` to wait on (batch flush timers,
         deferred bookkeeping): the callable goes straight onto the
         queue and is invoked with no arguments when its time comes.
+        A delay that lands on the current instant (zero, or small
+        enough to round away at a large clock) puts it on the lane.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        heappush(self._queue, (self._now + delay, next(self._sequence),
-                               callback))
+        when = self._now + delay
+        if when == self._now:
+            next(self._sequence)
+            self._lane.append(callback)
+        else:
+            heappush(self._queue, (when, next(self._sequence), callback))
 
     def event(self) -> Event:
         """Untriggered event for manual signalling."""
@@ -218,23 +241,27 @@ class Simulator:
         return Process(self, generator)
 
     def run(self, until: float | None = None) -> None:
-        """Run until the queue drains or virtual time passes ``until``.
+        """Run until nothing is scheduled or virtual time passes ``until``.
 
-        Entries fire strictly in ``(when, seq)`` order; all entries
-        sharing a timestamp are drained in one inner loop (new entries
-        scheduled *at* the current instant join the same batch).
+        Entries fire strictly in ``(when, seq)`` order.  At each instant
+        the heap entries due then are moved onto the lane, which is
+        drained in FIFO order; new entries scheduled *at* the current
+        instant join the lane behind them, so the clock advances only
+        once the lane is empty.  Entries already on the lane when
+        ``run`` is entered fire at the current time.  ``until`` may not
+        lie before the clock: time never moves backwards.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is before the clock ({self._now})"
+            )
         queue = self._queue
-        while queue:
-            when = queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            if when < self._now - 1e-9:
-                raise SimulationError("event scheduled in the past")
-            self._now = when
-            while queue and queue[0][0] == when:
-                item = heappop(queue)[2]
+        lane = self._lane
+        popleft = lane.popleft
+        append = lane.append
+        while True:
+            while lane:
+                item = popleft()
                 cls = item.__class__
                 # Bare callbacks (the per-request data plane) are the
                 # common entry, so they are tested first.
@@ -246,6 +273,15 @@ class Simulator:
                     item._fire()
                 else:
                     item()
+            if not queue:
+                break
+            when = queue[0][0]
+            if until is not None and when > until:
+                self._now = until
+                return
+            self._now = when
+            while queue and queue[0][0] == when:
+                append(heappop(queue)[2])
         if until is not None:
             self._now = max(self._now, until)
 

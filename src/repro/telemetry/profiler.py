@@ -5,9 +5,8 @@ clock, attributing wall time to coarse subsystems — ``engine`` (the
 event loop plus everything not otherwise claimed), ``scheduler``
 (submission-path dispatch and completion bookkeeping), ``store``
 (GET/PUT serving) and ``telemetry`` (span recording and metrics
-sampling).  It is the measurement ROADMAP item 2 (hot-path speedup)
-asks for before any refactor: know where the wall-clock goes, then
-make it cheap.
+sampling).  It is the measurement a hot-path speedup needs before
+any refactor: know where the wall-clock goes, then make it cheap.
 
 Accounting is self-time on an explicit section stack: entering a
 section starts its clock, entering a nested section pauses the

@@ -16,30 +16,37 @@ the CV gap in Figure 20 *emerges* from the scheduling discipline.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 @dataclass(slots=True)
 class VfRequest:
-    """One tenant request passing through the device."""
+    """One tenant request passing through the device.
+
+    ``on_done`` is called with no arguments at the instant the engine
+    pass ends, as a same-instant kernel entry of its own.
+    """
 
     vf_index: int
     nbytes: int
     service_ns: float
-    done: Event = None  # type: ignore[assignment]
+    on_done: Callable[[], None]
 
 
 class _ArbiterBase:
     """Engine-slot dispatch shared by both policies.
 
-    Each engine slot is a chain of kernel callbacks, not a process: an
-    idle engine parks a callback on the shared wakeup event, a busy one
-    schedules its own completion ``service_ns`` ahead and pulls the
-    next request when it fires.
+    Each engine slot is a chain of kernel callbacks, not a process: a
+    busy slot schedules its own completion ``service_ns`` ahead, puts
+    the request's ``on_done`` on the kernel when it fires and pulls
+    the next request.  An idle slot parks; the first submit after that
+    schedules one zero-delay wake entry, which restarts every slot
+    parked by the time it fires.
     """
 
     def __init__(self, sim: Simulator, engine_slots: int) -> None:
@@ -47,7 +54,8 @@ class _ArbiterBase:
             raise SimulationError("need at least one engine slot")
         self.sim = sim
         self.engine_slots = engine_slots
-        self._wakeup: Event | None = None
+        self._parked = 0
+        self._wake_pending = False
         # Let the runtime sanitizer audit arbiter queues at run end.
         register = getattr(sim, "_register_waitable", None)
         if register is not None:
@@ -60,27 +68,33 @@ class _ArbiterBase:
     def _pop_next(self) -> VfRequest | None:
         raise NotImplementedError
 
-    def submit(self, request: VfRequest) -> Event:
+    def submit(self, request: VfRequest) -> None:
         raise NotImplementedError
 
     # -- engine machinery --
 
     def _notify(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        if self._parked and not self._wake_pending:
+            self._wake_pending = True
+            self.sim.call_later(0.0, self._wake)
 
-    def _next_request(self, _wakeup: Event | None = None) -> None:
+    def _wake(self) -> None:
+        parked = self._parked
+        self._parked = 0
+        self._wake_pending = False
+        for _ in range(parked):
+            self._next_request()
+
+    def _next_request(self) -> None:
         request = self._pop_next()
         if request is None:
-            if self._wakeup is None or self._wakeup.fired:
-                self._wakeup = self.sim.event()
-            self._wakeup.add_callback(self._next_request)
+            self._parked += 1
             return
         self.sim.call_later(request.service_ns,
                             partial(self._served, request))
 
     def _served(self, request: VfRequest) -> None:
-        request.done.succeed()
+        self.sim.call_later(0.0, request.on_done)
         self._next_request()
 
 
@@ -94,16 +108,14 @@ class FcfsArbiter(_ArbiterBase):
         self._blocked: deque[VfRequest] = deque()
         super().__init__(sim, engine_slots)
 
-    def submit(self, request: VfRequest) -> Event:
-        request.done = self.sim.event()
+    def submit(self, request: VfRequest) -> None:
         if len(self._queue) >= self._ceiling:
             # Hardware queue full: the submission itself blocks until a
             # slot frees (the "concurrency ceiling" of Finding 6).
             self._blocked.append(request)
-            return request.done
+            return
         self._queue.append(request)
         self._notify()
-        return request.done
 
     def _pop_next(self) -> VfRequest | None:
         if not self._queue:
@@ -124,11 +136,9 @@ class FairArbiter(_ArbiterBase):
         self._cursor = 0
         super().__init__(sim, engine_slots)
 
-    def submit(self, request: VfRequest) -> Event:
-        request.done = self.sim.event()
+    def submit(self, request: VfRequest) -> None:
         self._queues[request.vf_index].append(request)
         self._notify()
-        return request.done
 
     def _pop_next(self) -> VfRequest | None:
         vf_count = len(self._queues)

@@ -121,15 +121,15 @@ class MultiTenantSim:
                 if burst == 0:
                     sim.call_later(0.0, think)
                 for _ in range(burst):
-                    request = VfRequest(
+                    arbiter.submit(VfRequest(
                         vf_index=vf_index,
                         nbytes=request_bytes,
                         service_ns=self.service.service_ns(
                             request_bytes, rng, profile.service_jitter),
-                    )
-                    arbiter.submit(request).add_callback(completed)
+                        on_done=completed,
+                    ))
 
-            def completed(_event) -> None:
+            def completed() -> None:
                 # Attribute bytes at each request's own completion
                 # instant so second-granular bins are exact.
                 nonlocal outstanding

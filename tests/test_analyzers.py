@@ -28,11 +28,16 @@ from repro.analyzers import (
 )
 from repro.analyzers.lint import main as lint_main
 from repro.cluster import Cluster, TelemetrySpec, default_cluster_spec
-from repro.errors import AnalyzerError, SanitizerError
+from repro.errors import AnalyzerError, SanitizerError, SimulationError
 from repro.sim.engine import Event, Simulator, Store
 from repro.virt.qos import FairArbiter, FcfsArbiter, VfRequest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _noop() -> None:
+    """An arbiter request's ``on_done`` for tests that ignore it."""
+
 
 #: A config whose scoped rules all apply to the fixture path, so one
 #: helper covers every rule.
@@ -451,6 +456,30 @@ class TestSanitizedSimulator:
         with pytest.raises(SanitizerError, match="fired twice"):
             sim.run()
 
+    def test_non_callable_lane_item_raises(self):
+        sim = SanitizedSimulator()
+        sim._lane.append("not an event")
+        with pytest.raises(SanitizerError, match="neither an Event"):
+            sim.run()
+
+    def test_event_on_lane_twice_raises(self):
+        sim = SanitizedSimulator()
+        event = Event(sim)
+        event.succeed()
+        # Hand-append the same event to the lane, bypassing succeed().
+        sim._lane.append(event)
+        with pytest.raises(SanitizerError, match="fired twice"):
+            sim.run()
+
+    def test_run_until_before_clock_raises(self):
+        sim = SanitizedSimulator()
+        sim.call_later(10, lambda: None)
+        sim.call_later(20, lambda: None)
+        sim.run(until=15)
+        with pytest.raises(SimulationError, match="before the clock"):
+            sim.run(until=5)
+        assert sim.now == 15
+
     def test_untriggered_event_on_queue_raises(self):
         from heapq import heappush
         sim = SanitizedSimulator()
@@ -510,7 +539,8 @@ class TestSanitizedSimulator:
         sim = SanitizedSimulator()
         arbiter = FcfsArbiter(sim, engine_slots=1, queue_ceiling=1)
         for _ in range(3):
-            arbiter.submit(VfRequest(vf_index=0, nbytes=1, service_ns=100))
+            arbiter.submit(VfRequest(vf_index=0, nbytes=1, service_ns=100,
+                                     on_done=_noop))
         sim.run(until=50)
         with pytest.raises(SanitizerError, match="1 blocked request"):
             sim.finish()
@@ -519,7 +549,8 @@ class TestSanitizedSimulator:
         sim = SanitizedSimulator()
         arbiter = FcfsArbiter(sim, engine_slots=1, queue_ceiling=8)
         for _ in range(2):
-            arbiter.submit(VfRequest(vf_index=0, nbytes=1, service_ns=100))
+            arbiter.submit(VfRequest(vf_index=0, nbytes=1, service_ns=100,
+                                     on_done=_noop))
         sim.run(until=50)
         with pytest.raises(SanitizerError,
                            match="1 undispatched request") as raised:
@@ -531,7 +562,7 @@ class TestSanitizedSimulator:
         arbiter = FairArbiter(sim, engine_slots=1, vf_count=2)
         for vf_index in (0, 1, 0):
             arbiter.submit(VfRequest(vf_index=vf_index, nbytes=1,
-                                     service_ns=100))
+                                     service_ns=100, on_done=_noop))
         sim.run(until=50)
         with pytest.raises(SanitizerError, match="2 queued request"):
             sim.finish()
@@ -543,7 +574,7 @@ class TestSanitizedSimulator:
         for arbiter in arbiters:
             for vf_index in (0, 1, 0):
                 arbiter.submit(VfRequest(vf_index=vf_index, nbytes=1,
-                                         service_ns=100))
+                                         service_ns=100, on_done=_noop))
         sim.run()
         sim.finish()
 

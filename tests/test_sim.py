@@ -1,10 +1,12 @@
 """Tests for the discrete-event kernel and statistics collectors."""
 
+import heapq
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import (
@@ -170,6 +172,191 @@ class TestSimulator:
         assert log == ["early"] and sim.now == 5
         sim.run()
         assert log == ["early", "late"] and sim.now == 8.0
+
+    def test_run_until_before_clock_rejected(self):
+        # Moving the clock back to 5 would let a later call_later(1)
+        # fire at t=6, before work that already ran at 10 and 15.
+        sim = Simulator()
+        log = []
+        for delay in (10, 15, 20):
+            sim.call_later(delay, lambda: log.append(sim.now))
+        sim.run(until=15)
+        with pytest.raises(SimulationError, match="before the clock"):
+            sim.run(until=5)
+        assert sim.now == 15
+        sim.call_later(1, lambda: log.append(sim.now))
+        sim.run()
+        assert log == [10.0, 15.0, 16.0, 20.0]
+
+
+class _RefEvent:
+    """Event of :class:`_HeapKernel`."""
+
+    def __init__(self, sim: "_HeapKernel") -> None:
+        self.sim = sim
+        self.callbacks = []
+        self.triggered = False
+        self.fired = False
+        self.value = None
+
+    def succeed(self, value=None):
+        assert not self.triggered
+        self.triggered = True
+        self.value = value
+        self.sim.call_later(0.0, self._fire)
+        return self
+
+    def add_callback(self, callback) -> None:
+        if self.fired:
+            self.sim.call_later(0.0, lambda: callback(self))
+        else:
+            self.callbacks.append(callback)
+
+    def _fire(self) -> None:
+        self.fired = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+
+class _HeapKernel:
+    """Reference kernel: every entry, same-instant ones included, is a
+    ``(when, seq, callable)`` heap tuple popped one at a time."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap = []
+        self._sequence = itertools.count()
+
+    def call_later(self, delay, callback) -> None:
+        heapq.heappush(self._heap, (self.now + delay, next(self._sequence),
+                                    callback))
+
+    def event(self) -> _RefEvent:
+        return _RefEvent(self)
+
+    def timeout(self, delay, value=None) -> _RefEvent:
+        event = _RefEvent(self)
+        event.triggered = True
+        event.value = value
+        self.call_later(delay, event._fire)
+        return event
+
+    def spawn(self, generator) -> _RefEvent:
+        process = _RefEvent(self)
+
+        def step(value) -> None:
+            try:
+                target = generator.send(value)
+            except StopIteration as stop:
+                process.succeed(stop.value)
+                return
+            target.add_callback(lambda event: step(event.value))
+
+        self.call_later(0.0, lambda: step(None))
+        return process
+
+    def run(self, until=None) -> None:
+        while self._heap:
+            when, _, callback = self._heap[0]
+            if until is not None and when > until:
+                self.now = until
+                return
+            heapq.heappop(self._heap)
+            self.now = when
+            callback()
+        if until is not None:
+            self.now = max(self.now, until)
+
+
+#: Delays that are zero, round to now at a 1e12 ns clock, or are real.
+_DELAYS = st.sampled_from([0.0, 1e-5, 1.0, 3.0, 10.0])
+_KINDS = st.sampled_from(["later", "timeout", "event", "succeed", "wait",
+                          "spawn"])
+_OPS = st.recursive(
+    st.tuples(_KINDS, _DELAYS, st.integers(0, 7), st.just(())),
+    lambda children: st.tuples(_KINDS, _DELAYS, st.integers(0, 7),
+                               st.lists(children, max_size=3)),
+    max_leaves=30,
+)
+_PROGRAMS = st.tuples(
+    st.booleans(),  # start the clock at 1e12 ns
+    st.lists(st.tuples(st.lists(_OPS, max_size=4),
+                       st.one_of(st.none(), st.sampled_from([0, 1, 5, 12]))),
+             min_size=1, max_size=4),
+)
+
+
+def _play(sim, program):
+    """Run ``program`` on ``sim``; return the firing log and the number
+    of entries the kernel scheduled."""
+    large_clock, segments = program
+    log = []
+    events = []  # plain events an op may succeed
+    waitables = []  # anything an op may wait on
+    tokens = itertools.count()
+
+    def schedule(op) -> None:
+        kind, delay, pick, children = op
+        token = next(tokens)
+
+        def fire(*_) -> None:
+            log.append((token, sim.now))
+            for child in children:
+                schedule(child)
+
+        if kind == "later":
+            sim.call_later(delay, fire)
+        elif kind == "timeout":
+            timeout = sim.timeout(delay, token)
+            timeout.add_callback(fire)
+            waitables.append(timeout)
+        elif kind == "event":
+            event = sim.event()
+            event.add_callback(fire)
+            events.append(event)
+            waitables.append(event)
+        elif kind == "succeed":
+            pending = [event for event in events if not event.triggered]
+            if pending:
+                pending[pick % len(pending)].succeed(token)
+            fire()
+        elif kind == "wait":
+            if waitables:
+                waitables[pick % len(waitables)].add_callback(fire)
+        else:
+            def process():
+                log.append((token, "start", sim.now))
+                yield sim.timeout(delay)
+                if waitables:
+                    value = yield waitables[pick % len(waitables)]
+                    log.append((token, "woke", value, sim.now))
+                fire()
+                return token
+
+            waitables.append(sim.spawn(process()))
+
+    if large_clock:
+        sim.run(until=1e12)
+    for ops, until_offset in segments:
+        for op in ops:
+            schedule(op)
+        sim.run(until=None if until_offset is None
+                else sim.now + until_offset)
+    sim.run()
+    return log, next(sim._sequence)
+
+
+class TestKernelOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_PROGRAMS)
+    def test_lane_kernel_matches_heap_reference(self, program):
+        """The lane kernel fires in exactly ``(when, seq)`` order: the
+        same order, and the same number of entries, as a heap-only
+        kernel, for zero, rounding and positive delays, events
+        succeeded inside and outside ``run``, late waiters, processes
+        and ``run(until=...)`` split over several calls."""
+        assert _play(Simulator(), program) == _play(_HeapKernel(), program)
 
 
 class TestStore:

@@ -29,9 +29,9 @@ class TestArbiters:
     def _drive(self, arbiter, sim, submissions):
         done = []
         for vf, service in submissions:
-            request = VfRequest(vf_index=vf, nbytes=100, service_ns=service)
-            event = arbiter.submit(request)
-            event.add_callback(lambda e, v=vf: done.append((v, sim.now)))
+            arbiter.submit(VfRequest(
+                vf_index=vf, nbytes=100, service_ns=service,
+                on_done=lambda v=vf: done.append((v, sim.now))))
         sim.run()
         return done
 
