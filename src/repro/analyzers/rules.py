@@ -64,11 +64,11 @@ RULES: dict[str, Rule] = {}
 
 def _register(code: str, name: str, description: str,
               scope: Callable | None = None):
-    def wrap(fn):
+    def decorate(fn):
         RULES[code] = Rule(code=code, name=name, description=description,
                            scope=scope, check=fn)
         return fn
-    return wrap
+    return decorate
 
 
 # -- shared AST helpers --------------------------------------------------------

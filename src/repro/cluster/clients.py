@@ -10,8 +10,7 @@ are evaluated under:
   client keeps at most ``window`` requests in flight and waits
   ``think_ns`` after every completion before submitting the next, so
   offered load *responds* to service latency the way a real
-  application threadpool does (the shape the ROADMAP's oldest open
-  item asked for);
+  application threadpool does;
 * :class:`StoreClient` — mixed GET/PUT traffic against the compressed
   block-store tier, open-loop over a Zipfian block space by default,
   or windowed closed-loop (``window=N`` connections with think time)

@@ -12,9 +12,11 @@ with the reconfiguration schedule armed — and hands out client handles
 the unified :class:`~repro.cluster.result.RunResult`.
 
 The run plumbing a federation shares with a cluster lives here too:
-the simulator factory (:func:`new_simulator`), the metrics-interval
-check (:func:`check_metrics_interval`) and the metrics sampler
-(:func:`metrics_sampler`).
+the simulator factory (:func:`new_simulator`) and the one run driver
+(:func:`drive`) both ``Cluster.run`` and ``Federation.run`` call.  It
+checks the metrics interval, arms the sampler, starts the clients,
+flushes and drains the schedulers, and, for a profiled run, wraps
+:data:`PROFILED_SPANS` on their classes for the run's duration.
 
 Device cost-model calibration runs the real codecs, so it is by far
 the most expensive part of building a cluster; calibrated models are
@@ -56,9 +58,9 @@ from repro.store.store import CompressedBlockStore
 from repro.telemetry import (
     DISABLED,
     MetricsRegistry,
-    ProfiledTraceRecorder,
     SloObjective,
     Telemetry,
+    TraceRecorder,
     WallClockProfiler,
 )
 from repro.workloads.mixed import MixedStream
@@ -123,20 +125,23 @@ def new_simulator(sanitize: bool | None = None) -> Simulator:
     return Simulator()
 
 
-def check_metrics_interval(metrics: MetricsRegistry | None,
-                           horizon: float) -> None:
-    """Reject a sampling interval no run of ``horizon`` ns would reach."""
-    if metrics is not None and metrics.interval_ns > horizon:
-        raise TelemetryError(
-            f"TelemetrySpec.metrics_interval_ns "
-            f"({metrics.interval_ns:g} ns) exceeds the run horizon "
-            f"({horizon:g} ns); no sample would ever be taken — "
-            f"shorten the interval or lengthen the run"
-        )
+#: (class, method, section) a profiled run bills to each host-time
+#: section; :func:`drive` installs it for the run's duration.  Same
+#: shape as the benchmark tracer's span table.
+PROFILED_SPANS = (
+    (SchedulerCore, "submit", "scheduler"),
+    (SchedulerCore, "pump", "scheduler"),
+    (SchedulerCore, "_record_completion", "scheduler"),
+    (CompressedBlockStore, "get", "store"),
+    (CompressedBlockStore, "put", "store"),
+    (TraceRecorder, "span", "telemetry"),
+    (TraceRecorder, "instant", "telemetry"),
+    (MetricsRegistry, "sample", "telemetry"),
+)
 
 
-def metrics_sampler(sim: Simulator, registry: MetricsRegistry,
-                    horizon: float) -> None:
+def _arm_sampler(sim: Simulator, registry: MetricsRegistry,
+                 horizon: float) -> None:
     """Tick ``registry`` every interval until the measurement window ends.
 
     Bounded by ``horizon`` so the simulation's event queue still
@@ -154,6 +159,76 @@ def metrics_sampler(sim: Simulator, registry: MetricsRegistry,
         arm()
 
     sim.call_later(0.0, arm)
+
+
+def drive(sim: Simulator, schedulers: list[SchedulerCore],
+          clients: list[ClusterClient], metrics: MetricsRegistry | None,
+          register_gauges: Callable[[], None], *,
+          profiler: WallClockProfiler | None = None,
+          stores: tuple[CompressedBlockStore, ...] = ()) -> float:
+    """Run ``clients`` against ``schedulers`` to completion.
+
+    The one run path of a cluster and of a federation.  The
+    measurement window (goodput accounting) is the longest client
+    duration, which this returns; backlog drained after the last
+    client stops submitting completes but does not inflate goodput.
+    Gauges are registered and the sampler armed before any client
+    starts; when the last client finishes, every scheduler flushes
+    its partial batches and enters drain mode.  A ``profiler`` bills
+    :data:`PROFILED_SPANS` to its sections for the run, under an
+    ``engine`` section that owns the whole window.
+    """
+    horizon = max(client.duration_ns for client in clients)
+    if metrics is not None and metrics.interval_ns > horizon:
+        raise TelemetryError(
+            f"TelemetrySpec.metrics_interval_ns "
+            f"({metrics.interval_ns:g} ns) exceeds the run horizon "
+            f"({horizon:g} ns); no sample would ever be taken — "
+            f"shorten the interval or lengthen the run"
+        )
+    for scheduler in schedulers:
+        scheduler.measure_until_ns = horizon
+    for store in stores:
+        store.measure_until_ns = horizon
+    if metrics is not None:
+        register_gauges()
+        _arm_sampler(sim, metrics, horizon)
+    active = len(clients)
+
+    def finished(client: ClusterClient) -> None:
+        nonlocal active
+        active -= 1
+        if active == 0:
+            for scheduler in schedulers:
+                scheduler.flush()
+
+    if profiler is not None:
+        profiler.begin(PROFILED_SPANS)
+        profiler.push("engine")
+    try:
+        for client in clients:
+            client.start(on_done=finished)
+        sim.run()
+        # Defensive: a timer-less batch config can strand closed-loop
+        # windows on a partial batch; flush and keep running as long
+        # as it makes progress.
+        while active > 0:
+            before = sim.now
+            for scheduler in schedulers:
+                scheduler.flush()
+            sim.run()
+            if sim.now == before:
+                break
+    finally:
+        if profiler is not None:
+            profiler.pop()
+            profiler.end()
+    # Sanitized runs audit waiter queues once the drain settles; a
+    # plain Simulator has no finish() and skips this entirely.
+    finish = getattr(sim, "finish", None)
+    if finish is not None:
+        finish()
+    return horizon
 
 
 class Cluster:
@@ -182,7 +257,6 @@ class Cluster:
         if telemetry.enabled:
             self._wire_telemetry()
         self._clients: list[ClusterClient] = []
-        self._active_clients = 0
         self._ran = False
         self._profiler: WallClockProfiler | None = None
 
@@ -200,36 +274,21 @@ class Cluster:
     def enable_profiling(self) -> WallClockProfiler:
         """Attribute host wall-clock to subsystems during :meth:`run`.
 
-        Wires a :class:`WallClockProfiler` into the live objects:
-        scheduler submission/dispatch/completion bills to
+        The run bills scheduler submission/dispatch/completion to
         ``scheduler``, store serving to ``store``, span recording and
         metrics sampling to ``telemetry``, and the event loop plus
-        anything unclaimed to ``engine``.  Must be called before
-        :meth:`run`; unprofiled runs execute exactly the unwrapped
-        code.
+        anything unclaimed to ``engine`` (:data:`PROFILED_SPANS`,
+        wrapped on the classes for the run only).  Must be called
+        before :meth:`run`; unprofiled runs execute exactly the
+        unwrapped code.
         """
         if self._ran:
             raise ClusterError(
                 "cluster already ran; enable profiling before run()"
             )
-        if self._profiler is not None:
-            return self._profiler
-        profiler = WallClockProfiler()
-        self._profiler = profiler
-        if self.telemetry.tracing:
-            # The recorder is slotted — swap in the profiled subclass,
-            # which takes over the same ring and counters.
-            self.telemetry.trace = ProfiledTraceRecorder.wrapping(
-                self.telemetry.trace, profiler)
-        if self.telemetry.metrics is not None:
-            profiler.wrap(self.telemetry.metrics, "sample", "telemetry")
-        scheduler = self.scheduler
-        for attr in ("submit", "pump", "_record_completion"):
-            profiler.wrap(scheduler, attr, "scheduler")
-        if self.store is not None:
-            profiler.wrap(self.store, "get", "store")
-            profiler.wrap(self.store, "put", "store")
-        return profiler
+        if self._profiler is None:
+            self._profiler = WallClockProfiler()
+        return self._profiler
 
     # -- construction ----------------------------------------------------------
 
@@ -423,20 +482,9 @@ class Cluster:
 
     # -- running ---------------------------------------------------------------
 
-    def _client_finished(self, client: ClusterClient) -> None:
-        self._active_clients -= 1
-        if self._active_clients == 0:
-            # The last arrival stream has ended: flush partial batches
-            # and arm drain mode so late dispatches keep flushing.
-            self.scheduler.flush()
-
     def run(self) -> RunResult:
-        """Drive every attached client to completion and report.
-
-        The measurement window (goodput accounting) is the longest
-        client duration; backlog drained after the last client stops
-        submitting completes but does not inflate goodput.
-        """
+        """Drive every attached client to completion (:func:`drive`)
+        and report."""
         if self._ran:
             raise ClusterError(
                 "cluster already ran; build a new one for another run"
@@ -446,46 +494,14 @@ class Cluster:
                 "no clients attached; call open_loop()/closed_loop()/"
                 "store_client() before run()"
             )
-        horizon = max(client.duration_ns for client in self._clients)
-        metrics = self.telemetry.metrics
-        check_metrics_interval(metrics, horizon)
         self._ran = True
-        self.scheduler.measure_until_ns = horizon
-        if self.store is not None:
-            self.store.measure_until_ns = horizon
-        if metrics is not None:
-            self._register_default_gauges()
-            metrics_sampler(self.sim, metrics, horizon)
-        self._active_clients = len(self._clients)
         profiler = self._profiler
-        if profiler is not None:
-            # ``engine`` owns the whole window; the wrapped
-            # scheduler/store/telemetry sections carve their self-time
-            # out of it, so the residual is the event loop proper.
-            profiler.begin()
-            profiler.push("engine")
-        try:
-            for client in self._clients:
-                client.start(on_done=self._client_finished)
-            self.sim.run()
-            # Defensive: a timer-less batch config can strand
-            # closed-loop windows on a partial batch; flush and keep
-            # running as long as it makes progress.
-            while self._active_clients > 0:
-                before = self.sim.now
-                self.scheduler.flush()
-                self.sim.run()
-                if self.sim.now == before:
-                    break
-        finally:
-            if profiler is not None:
-                profiler.pop()
-                profiler.end()
-        # Sanitized runs audit waiter queues once the drain settles; a
-        # plain Simulator has no finish() and skips this entirely.
-        finish = getattr(self.sim, "finish", None)
-        if finish is not None:
-            finish()
+        horizon = drive(
+            self.sim, [self.scheduler], self._clients,
+            self.telemetry.metrics, self._register_default_gauges,
+            profiler=profiler,
+            stores=(self.store,) if self.store is not None else (),
+        )
         telemetry_report = None
         if self.telemetry.enabled:
             telemetry_report = self.telemetry.report()

@@ -80,7 +80,7 @@ REGISTRY: dict[str, Callable[..., ExperimentResult]] = {}
 
 def register(name: str):
     """Decorator adding a run() callable to the registry."""
-    def wrap(fn: Callable[..., ExperimentResult]):
+    def decorate(fn: Callable[..., ExperimentResult]):
         REGISTRY[name] = fn
         return fn
-    return wrap
+    return decorate

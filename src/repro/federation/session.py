@@ -8,10 +8,10 @@ sink), puts a :class:`~repro.federation.router.GlobalRouter` in front
 of the member schedulers, and drives the federation-wide open-loop
 stream — heavy-tailed population and diurnal modulation included —
 through an ordinary :class:`~repro.cluster.clients.OpenLoopClient`
-pointed at the router.  :meth:`Federation.run` mirrors
-:meth:`~repro.cluster.session.Cluster.run` (measurement horizon,
-gauges + the cluster module's sampler, defensive drain, sanitizer
-finish hook) and returns a
+pointed at the router.  :meth:`Federation.run` runs it through the
+cluster module's run driver (:func:`~repro.cluster.session.drive`:
+measurement horizon, gauges and sampler, defensive drain over every
+member scheduler, sanitizer finish hook) and returns a
 :class:`~repro.federation.result.FederationResult` whose merged
 :class:`~repro.cluster.result.RunResult` feeds every existing table,
 export and health path.
@@ -21,12 +21,7 @@ from __future__ import annotations
 
 from repro.cluster.clients import OpenLoopClient
 from repro.cluster.result import RunResult
-from repro.cluster.session import (
-    Cluster,
-    check_metrics_interval,
-    metrics_sampler,
-    new_simulator,
-)
+from repro.cluster.session import Cluster, drive, new_simulator
 from repro.errors import FederationError
 from repro.federation.result import FederationResult, merge_service_reports
 from repro.federation.router import GlobalRouter
@@ -57,7 +52,6 @@ class Federation:
             telemetry=telemetry,
         )
         self._ran = False
-        self._driver_active = False
 
     @classmethod
     def from_spec(cls, spec: FederationSpec,
@@ -94,38 +88,10 @@ class Federation:
         stream = build_open_loop_stream(
             workload, seed=self.spec.root_seed + workload.seed_offset)
         driver = OpenLoopClient(self.router, stream, name="federated")
-        horizon = stream.duration_ns
-        metrics = self.telemetry.metrics
-        check_metrics_interval(metrics, horizon)
-        for _, cluster in self.clusters:
-            cluster.scheduler.measure_until_ns = horizon
-        if metrics is not None:
-            self._register_gauges()
-            metrics_sampler(self.sim, metrics, horizon)
-        self._driver_active = True
-        driver.start(on_done=self._driver_finished)
-        self.sim.run()
-        # Defensive drain, mirroring Cluster.run: keep flushing while
-        # the simulation still makes progress.
-        while self._driver_active:
-            before = self.sim.now
-            for _, cluster in self.clusters:
-                cluster.scheduler.flush()
-            self.sim.run()
-            if self.sim.now == before:
-                break
-        finish = getattr(self.sim, "finish", None)
-        if finish is not None:
-            finish()
+        horizon = drive(
+            self.sim, [cluster.scheduler for _, cluster in self.clusters],
+            [driver], self.telemetry.metrics, self._register_gauges)
         return self._report(driver, horizon)
-
-    def _driver_finished(self, client) -> None:
-        # The federation-wide arrival stream ended: flush every
-        # member's partial batches so buffered work is not stranded on
-        # batch timers that will never be joined.
-        self._driver_active = False
-        for _, cluster in self.clusters:
-            cluster.scheduler.flush()
 
     # -- telemetry -------------------------------------------------------------
 

@@ -252,7 +252,7 @@ class _CompletionChain:
         self.core.pump()
 
 
-class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling shadows submit/pump/_record_completion with instance attributes, which __slots__ forbids
+class SchedulerCore:
     """Routes an open-loop request stream across a CDPU fleet.
 
     Owns dispatch, admission and the SLO model for one service run,
@@ -261,6 +261,11 @@ class SchedulerCore:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling s
     :class:`~repro.service.control.FleetController` reconfigures
     mid-run through this core.
     """
+
+    __slots__ = ("sim", "devices", "policy", "admission", "spill_device",
+                 "slo_aware", "pending_limit", "metrics", "telemetry",
+                 "measure_until_ns", "drain_mode", "_heap",
+                 "_pending_count", "_cancelled_count", "_sequence")
 
     def __init__(self, sim: Simulator, devices: Sequence[FleetDevice],
                  policy: DispatchPolicy | str, *,

@@ -37,7 +37,7 @@ and drain polls, the metrics sampler and the ``virt.tenancy`` tenants
 — are callbacks too.  :class:`Process` (a generator driven by the
 events it yields) remains only because the benchmark harness's tracer
 wraps ``Process._step``; it goes once that harness stops depending on
-it (ROADMAP item 1).
+it.
 
 Determinism is unchanged: entries fire in ``(when, seq)`` order and
 ``seq`` is a single monotone counter, so two runs of the same seeded

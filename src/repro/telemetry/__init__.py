@@ -11,8 +11,9 @@ raw data: declarative :class:`SloObjective` monitors burn-rate-
 evaluated over the metrics series into :class:`Alert` records, plus
 the scanner-driven :class:`HealthReport` pass/warn/fail verdict.  The
 wall-clock profiler (:mod:`repro.telemetry.profiler`) attributes
-*host* time to subsystems and exports a host-time track next to the
-simulated-time tracks.
+*host* time to subsystems through class-level, run-scoped method
+wrappers and exports a host-time track next to the simulated-time
+tracks.
 """
 
 from repro.telemetry.analysis import (
@@ -32,11 +33,7 @@ from repro.telemetry.core import (
     TelemetryReport,
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
-from repro.telemetry.profiler import (
-    ProfiledTraceRecorder,
-    WallClockProfile,
-    WallClockProfiler,
-)
+from repro.telemetry.profiler import WallClockProfile, WallClockProfiler
 from repro.telemetry.trace import (
     DEFAULT_TRACE_CAPACITY,
     TraceEvents,
@@ -59,7 +56,6 @@ __all__ = [
     "HealthReport",
     "Histogram",
     "MetricsRegistry",
-    "ProfiledTraceRecorder",
     "ScopedTelemetry",
     "SloObjective",
     "Telemetry",

@@ -1,11 +1,12 @@
 """Simulated-time metrics: counters, gauges, histograms, a registry.
 
 The registry samples every registered instrument on a fixed
-simulated-time interval (the sampler process lives in
-:meth:`repro.cluster.session.Cluster.run`), producing one flat row per
-tick.  Rows are plain dicts in insertion order, so the series prints
-with :func:`repro.profiling.report.format_table`, exports to CSV, and
-round-trips through the sweep worker pool unchanged.
+simulated-time interval (the session's run driver,
+:func:`repro.cluster.session.drive`, arms the sampler), producing one
+flat row per tick.  Rows are plain dicts in insertion order, so the
+series prints with :func:`repro.profiling.report.format_table`,
+exports to CSV, and round-trips through the sweep worker pool
+unchanged.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class Histogram:
         return self.least * (2.0 ** (self.BUCKETS - 1))
 
 
-class MetricsRegistry:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling shadows sample() with an instance attribute, which __slots__ forbids
+class MetricsRegistry:
     """Named instruments plus the sampled time series they produce.
 
     Gauges are zero-argument callables evaluated at each tick — the
@@ -102,6 +103,8 @@ class MetricsRegistry:  # repro-lint: disable=HOT001 -- Cluster.enable_profiling
     rates).  Registration order fixes column order, which keeps the
     exported series byte-stable across identical runs.
     """
+
+    __slots__ = ("interval_ns", "rows", "_counters", "_gauges", "_multis")
 
     def __init__(self, interval_ns: float) -> None:
         if interval_ns <= 0:

@@ -15,19 +15,22 @@ profiled window — which is what lets the exported host-time track sit
 next to the simulated-time tracks in one Chrome trace without double
 counting.
 
-The profiler is strictly opt-in (``Cluster.enable_profiling()`` /
-``--profile``): it wires itself in by wrapping bound methods on the
-live objects, so an unprofiled run executes exactly the code it
-always did.
+Sections are class-level and run-scoped: :meth:`WallClockProfiler.begin`
+takes a ``(class, method, section)`` table and replaces each method on
+its class with a wrapper that bills the call to its section;
+:meth:`WallClockProfiler.end` puts the originals back.  Wrapping
+classes rather than instances works on slotted classes, and the
+session's run driver calls ``end()`` in a ``finally``, so a run that
+raises still restores every method.  The profiler is strictly opt-in
+(``Cluster.enable_profiling()`` / ``--profile``); an unprofiled run
+executes exactly the code it always did.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
-
-from repro.telemetry.trace import TraceRecorder
+from typing import Callable, Iterable
 
 #: Recorded host-span cap: totals are always complete, but only this
 #: many individual section intervals are kept for the trace's host
@@ -89,12 +92,13 @@ class WallClockProfiler:
     ``push(name)``/``pop()`` bracket a section; nested pushes pause the
     enclosing section.  ``begin()``/``end()`` bracket the whole
     profiled window (the run), which :meth:`profile` compares the
-    attributed totals against.
+    attributed totals against, and install/restore the class-level
+    section wrappers.
     """
 
     __slots__ = ("_clock", "_stack", "self_ns", "calls", "sections",
                  "section_cap", "sections_dropped", "_origin",
-                 "total_ns")
+                 "total_ns", "_patches")
 
     def __init__(self, clock: Callable[[], int] = time.perf_counter_ns,
                  section_cap: int = HOST_SECTION_CAP) -> None:
@@ -109,14 +113,30 @@ class WallClockProfiler:
         self.sections_dropped = 0
         self._origin: int | None = None
         self.total_ns = 0
+        #: (class, method, original, section) for every wrapper
+        #: :meth:`begin` installed, restored by :meth:`end`.
+        self._patches: list[tuple[type, str, Callable, str]] = []
 
-    def begin(self) -> None:
+    def begin(self, spans: Iterable[tuple[type, str, str]] = ()) -> None:
+        """Open the profiled window.
+
+        Until :meth:`end`, each ``(class, method, section)`` in
+        ``spans`` runs inside its section on every instance.
+        """
+        patches = [(owner, attr, owner.__dict__[attr], name)
+                   for owner, attr, name in spans]
+        for owner, attr, original, name in patches:
+            setattr(owner, attr, self._billed(original, name))
+        self._patches.extend(patches)
         self._origin = self._clock()
 
     def end(self) -> None:
-        if self._origin is None:
-            return
-        self.total_ns = self._clock() - self._origin
+        """Close the window and put every wrapped method back."""
+        if self._origin is not None:
+            self.total_ns = self._clock() - self._origin
+        for owner, attr, original, _ in reversed(self._patches):
+            setattr(owner, attr, original)
+        self._patches.clear()
 
     def push(self, name: str) -> None:
         self._stack.append([name, self._clock(), 0])
@@ -135,26 +155,17 @@ class WallClockProfiler:
         else:
             self.sections_dropped += 1
 
-    def section(self, name: str, fn: Callable, *args, **kwargs):
-        """Run ``fn`` inside a named section."""
-        self.push(name)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            self.pop()
+    def _billed(self, function: Callable, name: str) -> Callable:
+        """``function`` wrapped to run inside section ``name``."""
+        push, pop = self.push, self.pop
 
-    def wrap(self, obj, attr: str, name: str) -> None:
-        """Instance-wrap ``obj.attr`` so calls run inside ``name``."""
-        fn = getattr(obj, attr)
-
-        def wrapped(*args, **kwargs):
-            self.push(name)
+        def billed(*args, **kwargs):
+            push(name)
             try:
-                return fn(*args, **kwargs)
+                return function(*args, **kwargs)
             finally:
-                self.pop()
-
-        setattr(obj, attr, wrapped)
+                pop()
+        return billed
 
     def profile(self) -> WallClockProfile:
         """The pure-data summary of everything accounted so far."""
@@ -167,44 +178,3 @@ class WallClockProfiler:
             sections_dropped=self.sections_dropped,
         )
 
-
-class ProfiledTraceRecorder(TraceRecorder):
-    """A :class:`TraceRecorder` that bills span recording to the
-    profiler's ``telemetry`` section.
-
-    Swapped in for a live recorder by ``Cluster.enable_profiling()``
-    (:meth:`wrapping`): it takes over the recorder's ring and counters,
-    so the run records into the same buffer.  The recorder is slotted,
-    so per-instance wrapping is impossible — subclass override is the
-    supported seam, and unprofiled runs keep the plain recorder.
-    """
-
-    __slots__ = ("profiler",)
-
-    @classmethod
-    def wrapping(cls, recorder: TraceRecorder,
-                 profiler: WallClockProfiler) -> "ProfiledTraceRecorder":
-        wrapped = cls.__new__(cls)
-        wrapped.capacity = recorder.capacity
-        wrapped.recorded = recorder.recorded
-        wrapped._ring = recorder._ring
-        wrapped.profiler = profiler
-        return wrapped
-
-    def span(self, track, name, start_ns, end_ns, keys=None,
-             *values) -> None:
-        profiler = self.profiler
-        profiler.push("telemetry")
-        try:
-            TraceRecorder.span(self, track, name, start_ns, end_ns, keys,
-                               *values)
-        finally:
-            profiler.pop()
-
-    def instant(self, track, name, ts_ns, keys=None, *values) -> None:
-        profiler = self.profiler
-        profiler.push("telemetry")
-        try:
-            TraceRecorder.instant(self, track, name, ts_ns, keys, *values)
-        finally:
-            profiler.pop()

@@ -22,7 +22,9 @@ from repro.cluster import (
     TelemetrySpec,
     default_cluster_spec,
 )
-from repro.cluster.spec import AdmissionSpec
+from repro.cluster.clients import ClusterClient
+from repro.cluster.session import PROFILED_SPANS
+from repro.cluster.spec import AdmissionSpec, StoreSpec
 from repro.errors import ClusterSpecError, TelemetryError
 from repro.sweep import SweepAxis, SweepRunner, SweepSpec, WorkloadSpec
 from repro.telemetry import (
@@ -37,6 +39,12 @@ CHEAP_CLUSTER = ClusterSpec(
     fleet=FleetSpec(
         devices=(DeviceSpec("cpu", algorithm="snappy", threads=4),),
     ),
+)
+
+STORE_CLUSTER = dataclasses.replace(
+    CHEAP_CLUSTER,
+    store=StoreSpec(block_bytes=4096, segment_bytes=16384,
+                    cache_blocks=64, ghost_blocks=128, client_window=4),
 )
 
 OVERLOAD_CLUSTER = ClusterSpec(
@@ -294,10 +302,17 @@ class TestWallClockProfiler:
             def work(self, x):
                 return x * 2
 
+        original = Thing.__dict__["work"]
         ticks = iter(range(0, 1000, 10))
         profiler = WallClockProfiler(clock=lambda: next(ticks))
         thing = Thing()
-        profiler.wrap(thing, "work", "store")
+        profiler.begin(((Thing, "work", "store"),))
+        assert Thing.__dict__["work"] is not original
+        assert thing.work(21) == 42
+        assert profiler.calls["store"] == 1
+        profiler.end()
+        # The wrapper is run-scoped: the class gets its method back.
+        assert Thing.__dict__["work"] is original
         assert thing.work(21) == 42
         assert profiler.calls["store"] == 1
 
@@ -426,6 +441,64 @@ class TestProfilerIntegration:
         assert plain.telemetry.metrics_json() \
             == profiled.telemetry.metrics_json()
         assert plain.health().to_text() == profiled.health().to_text()
+
+    @staticmethod
+    def _originals() -> dict:
+        return {(owner, attr): owner.__dict__[attr]
+                for owner, attr, _ in PROFILED_SPANS}
+
+    @staticmethod
+    def _assert_restored(originals: dict) -> None:
+        for (owner, attr), original in originals.items():
+            assert owner.__dict__[attr] is original, \
+                f"{owner.__name__}.{attr} still wrapped"
+
+    def test_profiled_run_restores_every_method(self):
+        originals = self._originals()
+        result = run_cluster(traced(CHEAP_CLUSTER), profile=True)
+        assert result.wall_profile.calls["scheduler"] > 0
+        self._assert_restored(originals)
+
+    def test_run_that_raises_mid_run_restores_every_method(
+            self, monkeypatch):
+        originals = self._originals()
+        record = ClusterClient._record_completion
+
+        def failing_record(client, request):
+            if client.sim.now >= 2e5:
+                raise RuntimeError("client hook failed")
+            record(client, request)
+        monkeypatch.setattr(ClusterClient, "_record_completion",
+                            failing_record)
+        cluster = Cluster.from_spec(traced(CHEAP_CLUSTER))
+        profiler = cluster.enable_profiling()
+        cluster.open_loop(offered_gbps=2.0, duration_ns=4e5, tenants=2,
+                          seed=11)
+        with pytest.raises(RuntimeError, match="client hook failed"):
+            cluster.run()
+        assert 0 < cluster.sim.now < 4e5
+        self._assert_restored(originals)
+        # The raise unwound through the wrappers: every section closed.
+        assert profiler.calls["scheduler"] > 0
+        assert profiler.calls["engine"] == 1
+
+    def test_profiled_store_run_bills_each_get_and_put(self):
+        def run(profile: bool):
+            cluster = Cluster.from_spec(STORE_CLUSTER)
+            if profile:
+                cluster.enable_profiling()
+            cluster.store_client(offered_gbps=1.0, duration_ns=4e5,
+                                 blocks=256, seed=5)
+            return cluster, cluster.run()
+
+        _, plain = run(profile=False)
+        cluster, profiled = run(profile=True)
+        metrics = cluster.store.metrics
+        assert metrics.reads > 0 and metrics.writes > 0
+        assert profiled.wall_profile.calls["store"] \
+            == metrics.reads + metrics.writes
+        assert profiled.row() == plain.row()
+        assert profiled.clients == plain.clients
 
 
 class TestSweepHealth:
