@@ -5,12 +5,13 @@ measures the whole serving stack, where scheduler and stats costs can
 hide an engine regression.  These benchmarks time the kernel alone on
 the shapes the hot-path rewrites optimised:
 
-* **timeout storm** — thousands of processes sleeping in short hops,
-  the allocation fast path (``timeout()``/``call_later`` push entries
-  straight onto the heap; no bootstrap or relay Events);
-* **store handoff** — callback producers and consumers passing items
-  through :class:`~repro.sim.engine.Store` ``put``/``get``, the deque
-  getter and item queues and the succeed/fire callback chain;
+* **timeout storm** — hundreds of callbacks sleeping in short
+  staggered hops, each re-arming itself with ``call_later``: the
+  kernel's heap push and pop with no allocation beyond the entry;
+* **store handoff** — producers launching items into a ``deque``
+  doorbell queue and consumers serving them one at a time, the shape of
+  the fleet's doorbell queue: an item that finds its consumer idle
+  rings it with a zero-delay hop, later ones wait in the deque;
 * **callback chains** — many ``call_later`` chains alternating
   ``functools.partial`` and bound-method entries, the process-free
   shape of the per-request data plane and the run loop's first test;
@@ -28,12 +29,13 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import deque
 from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.sim.engine import Simulator, Store  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
 
 #: CI smoke floor, events/sec.  Deliberately far below what the
 #: rewritten kernel does on a developer machine (~200k-460k/s) — the
@@ -42,50 +44,70 @@ from repro.sim.engine import Simulator, Store  # noqa: E402
 SMOKE_FLOOR_EPS = 50_000.0
 
 
-def timeout_storm(processes: int = 200, hops: int = 50) -> int:
-    """Processes sleeping in staggered hops; returns events fired."""
+class _Sleeper:
+    """A callback that sleeps ``delay`` ns between wake-ups, re-arming
+    itself until ``left`` reaches zero."""
+
+    __slots__ = ("sim", "delay", "left")
+
+    def __init__(self, sim: Simulator, delay: float, hops: int) -> None:
+        self.sim = sim
+        self.delay = delay
+        self.left = hops
+
+    def wake(self) -> None:
+        self.left -= 1
+        if self.left > 0:
+            self.sim.call_later(self.delay, self.wake)
+
+
+def timeout_storm(sleepers: int = 200, hops: int = 50) -> int:
+    """Callbacks sleeping in staggered hops; returns wake-ups fired."""
     sim = Simulator()
-
-    def worker(sim: Simulator, offset: int):
-        delay = 10.0 + (offset % 7)
-        for _ in range(hops):
-            yield sim.timeout(delay)
-
-    for index in range(processes):
-        sim.spawn(worker(sim, index))
+    built = [_Sleeper(sim, 10.0 + (index % 7), hops)
+             for index in range(sleepers)]
+    for sleeper in built:
+        sim.call_later(sleeper.delay, sleeper.wake)
     sim.run()
-    return processes * hops
+    assert all(sleeper.left == 0 for sleeper in built)
+    return sleepers * hops
 
 
 class _Handoff:
-    """A producer putting ``items`` items into a Store, one every
-    ``delay`` ns, and a consumer taking them with ``get`` and pausing
-    1.5x ``delay`` between takes: early takes park a getter, later ones
-    find items already queued."""
+    """A producer launching ``items`` items into a doorbell deque, one
+    every ``delay`` ns, and a consumer serving them one at a time for
+    1.5x ``delay`` each: early items find the consumer idle and ring it
+    at once, later ones wait behind the item in service (the deque's
+    head)."""
 
-    __slots__ = ("sim", "store", "delay", "items", "produced", "received")
+    __slots__ = ("sim", "queue", "delay", "items", "produced", "received")
 
     def __init__(self, sim: Simulator, delay: float, items: int) -> None:
         self.sim = sim
-        self.store = Store(sim)
+        self.queue: deque[int] = deque()
         self.delay = delay
         self.items = items
         self.produced = 0
         self.received = 0
 
     def produce(self) -> None:
-        self.store.put(self.produced)
+        queue = self.queue
+        queue.append(self.produced)
+        if len(queue) == 1:
+            self.sim.call_later(0.0, partial(self.ring, self.produced))
         self.produced += 1
         if self.produced < self.items:
             self.sim.call_later(self.delay, self.produce)
 
-    def consume(self) -> None:
-        self.store.get().add_callback(self.take)
+    def ring(self, item: int) -> None:
+        self.sim.call_later(1.5 * self.delay, partial(self.rung, item))
 
-    def take(self, _event) -> None:
+    def rung(self, item: int) -> None:
+        queue = self.queue
+        queue.popleft()
         self.received += 1
-        if self.received < self.items:
-            self.sim.call_later(1.5 * self.delay, self.consume)
+        if queue:
+            self.sim.call_later(0.0, partial(self.ring, queue[0]))
 
 
 def store_handoff(pairs: int = 100, items: int = 50) -> int:
@@ -94,10 +116,9 @@ def store_handoff(pairs: int = 100, items: int = 50) -> int:
     built = [_Handoff(sim, 5.0 + (index % 7), items)
              for index in range(pairs)]
     for pair in built:
-        sim.call_later(0.0, pair.consume)
         sim.call_later(0.0, pair.produce)
     sim.run()
-    assert all(pair.received == items and not len(pair.store)
+    assert all(pair.received == items and not pair.queue
                for pair in built)
     return pairs * items
 
@@ -178,13 +199,13 @@ def same_instant_fanout(chains: int = 100, hops: int = 20,
 
 
 def test_bench_engine_timeout_storm(benchmark):
-    """Raw timeout throughput: the kernel's allocation fast path."""
+    """Raw timer throughput: self-re-arming sleeper callbacks."""
     events = benchmark(timeout_storm)
     benchmark.extra_info["events"] = events
 
 
 def test_bench_engine_store_handoff(benchmark):
-    """Waiter-queue churn: put/get over deque-backed Store queues."""
+    """Doorbell-queue churn: deque handoffs rung by zero-delay hops."""
     events = benchmark(store_handoff)
     benchmark.extra_info["handoffs"] = events
 

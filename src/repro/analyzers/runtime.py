@@ -11,15 +11,18 @@ validation at each pop:
   triple with a numeric ``when`` and an ``int`` ``seq`` that is unique
   across the run, and every item the run fires — from the heap or from
   the same-instant lane — is an :class:`Event` or a bare callable;
-* **event lifecycle** — an event fires exactly once, and its callback
-  slot is empty immediately after firing and stays empty (late waiters
-  must go through :meth:`Event.add_callback`, which schedules a fresh
-  queue entry instead of mutating a fired event);
-* **waiter-queue leaks** — at :meth:`finish`, no
-  :class:`~repro.sim.engine.Store` still holds undelivered items and
-  no QoS arbiter (:mod:`repro.virt.qos`) still holds blocked or queued
-  requests.  (Parked ``Store.get()`` waiters are fine — a consumer may
-  end every run waiting for work that never comes.)
+* **event lifecycle** — an :class:`Event` (no package module builds
+  one; the benchmark tracer's ``Process`` and tests do) fires exactly
+  once, and its callback slot is empty immediately after firing and
+  stays empty (late waiters must go through :meth:`Event.add_callback`,
+  which schedules a fresh queue entry instead of mutating a fired
+  event);
+* **waiter-queue leaks** — at :meth:`finish`, no fleet device
+  (:class:`~repro.service.fleet.FleetDevice`) still holds a launched
+  batch whose doorbell never rang, and no QoS arbiter
+  (:mod:`repro.virt.qos`) still holds blocked or queued requests.
+  (An idle device or engine is fine — a server may end every run
+  waiting for work that never comes.)
 
 Validation happens at pop time inside the run loop, never by changing
 what is scheduled or when, so a sanitized run's ``RunResult`` rows and
@@ -76,7 +79,7 @@ class SanitizedSimulator(Simulator):
         self.entries_checked = 0
 
     def _register_waitable(self, waitable: Any) -> None:
-        """Called by Store/arbiter constructors (via getattr)."""
+        """Called by fleet-device/arbiter constructors (via getattr)."""
         self._waitables.append(waitable)
 
     # -- invariant helpers -----------------------------------------------------
@@ -182,22 +185,22 @@ class SanitizedSimulator(Simulator):
     def finish(self) -> None:
         """Audit waiter queues once the driver has drained the run.
 
-        Raises :class:`SanitizerError` naming every leak: a
-        :class:`Store` with undelivered items, or an arbiter with
-        blocked, undispatched or queued requests.  Parked
-        ``Store.get()`` waiters are deliberately *not* leaks — a
-        consumer legitimately ends a run waiting for its next item.
+        Raises :class:`SanitizerError` naming every leak: a fleet
+        device with launched batches still in its doorbell queue, or an
+        arbiter with blocked, undispatched or queued requests.  An idle
+        device is deliberately *not* a leak — a server legitimately
+        ends a run waiting for its next batch.
         """
         self._check_fired(self._batch_fired)
         self._check_fired(self._fired_events)
         leaks: list[str] = []
         for waitable in self._waitables:
             name = type(waitable).__name__
-            items = getattr(waitable, "_items", None)
-            if items:
+            batches = getattr(waitable, "_batch_queue", None)
+            if batches:
                 leaks.append(
-                    f"{name} ended the run with {len(items)} "
-                    f"undelivered item(s)"
+                    f"{name} ended the run with {len(batches)} launched "
+                    f"batch(es) still in its doorbell queue"
                 )
             blocked = getattr(waitable, "_blocked", None)
             if blocked:

@@ -361,6 +361,10 @@ class Cluster:
         if spec.power_budget_w is not None:
             self.controller.power_cap(spec.power_budget_w)
         for event in spec.reconfig:
+            if event.action != "power-cap":
+                # Resolve the target now, so a name no member carries
+                # fails the build instead of the run at ``at_ns``.
+                self.controller._find(event.device)
             self.controller.at(event.at_ns, self._reconfig_action(event))
 
     def _reconfig_action(self, event) -> Callable[[], Any]:

@@ -64,6 +64,7 @@ class CpuSoftwareDevice(CdpuDevice):
     """The host CPU as a (non-offloading) compression device."""
 
     placement = Placement.CPU_SOFTWARE
+    power_kind = "cpu"
 
     def __init__(self, algorithm: str = "deflate", level: int = 1,
                  spec: CpuSpec | None = None,

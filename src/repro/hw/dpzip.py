@@ -86,6 +86,7 @@ class DpzipEngine(CdpuDevice):
     """
 
     name = "dpzip"
+    power_kind = "dpzip-engine"
     placement = Placement.IN_STORAGE
 
     def __init__(self, spec: DpzipEngineSpec | None = None,

@@ -84,6 +84,10 @@ class CdpuDevice:
 
     name: str = "cdpu"
     placement: Placement = Placement.PERIPHERAL
+    #: The device's kind in the :data:`repro.hw.power.DEVICE_POWER`
+    #: catalogue (``"cpu"`` for host software), or ``None`` when the
+    #: catalogue has no entry.  Renaming an instance does not change it.
+    power_kind: str | None = None
     #: Parallel engine instances inside the device.
     engine_count: int = 1
     #: Hardware queue ceiling (requests in flight); the QAT queue-pair

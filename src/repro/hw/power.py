@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.hw.engine import CdpuDevice
 
 
 @dataclass
@@ -96,24 +97,24 @@ def net_power_w(config: str, device_count: int = 1,
     return breakdown
 
 
-def device_active_w(device_name: str) -> float:
-    """Active wattage for a fleet device by its instance name.
+def device_active_w(device: CdpuDevice) -> float:
+    """Active wattage of a hw device, looked up by its kind.
 
-    Normalizes service-layer device names onto the
-    :data:`DEVICE_POWER` catalog — ``"dpzip"`` (the engine instance
-    name) maps to the ``"dpzip-engine"`` entry, and CPU software
-    devices (``"cpu-deflate"``, ``"cpu-snappy"``...) draw the full
-    package power the paper measures against.
+    The key is :attr:`~repro.hw.engine.CdpuDevice.power_kind`, never
+    the instance name, so renamed fleet members (``dpzip0``,
+    ``cpu-spill``) draw what their kind draws.  CPU software devices
+    draw the full package power the paper measures against.
     """
-    if device_name.startswith("cpu"):
+    kind = device.power_kind
+    if kind == "cpu":
         return CPU_PACKAGE_ACTIVE_W
-    key = "dpzip-engine" if device_name == "dpzip" else device_name
-    if key not in DEVICE_POWER:
+    power = DEVICE_POWER.get(kind)
+    if power is None:
         raise ConfigurationError(
-            f"no power entry for device {device_name!r}; known: "
-            f"{sorted(DEVICE_POWER) + ['cpu*']}"
+            f"no power entry for device {device.name!r} (kind {kind!r}); "
+            f"known: {sorted(DEVICE_POWER) + ['cpu']}"
         )
-    return DEVICE_POWER[key].active_w
+    return power.active_w
 
 
 def plan_power_cap(active_w_by_name: dict[str, float],

@@ -203,6 +203,8 @@ class QatDevice(CdpuDevice):
 class Qat8970(QatDevice):
     """Peripheral PCIe 3.0 x16 card (three co-processors in one)."""
 
+    power_kind = "qat8970"
+
     def __init__(self, link: PcieLink | None = None) -> None:
         super().__init__(QAT8970_SPEC, "qat8970", Placement.PERIPHERAL)
         self.link = link or qat8970_link()
@@ -223,6 +225,8 @@ class Qat8970(QatDevice):
 
 class Qat4xxx(QatDevice):
     """On-chip accelerator on the CPU's coherent mesh (DDIO)."""
+
+    power_kind = "qat4xxx"
 
     def __init__(self, path: DdioPath | None = None) -> None:
         super().__init__(QAT4XXX_SPEC, "qat4xxx", Placement.ON_CHIP)

@@ -80,25 +80,18 @@ class PowerMeter:
     def device_draw_w(self, device) -> float:
         """Instantaneous active draw of one live fleet member.
 
-        Active wattage comes from the :mod:`repro.hw.power` catalog,
-        scaled by the device's current fill fraction (an idle engine
-        draws ~nothing above server idle) and its derate.  Fleet
-        members may carry renamed devices the catalog cannot resolve
-        (``dpzip0``, ``cpu-spill``); those fall back to a digit/suffix-
-        stripped lookup and finally to zero draw rather than failing a
-        metrics tick mid-run.
+        Active wattage comes from the :mod:`repro.hw.power` catalog
+        entry of the member's device kind, scaled by the device's
+        current fill fraction (an idle engine draws ~nothing above
+        server idle) and its derate.  A kind the catalog has no entry
+        for draws zero rather than failing a metrics tick mid-run.
         """
         if not device.is_online:
             return 0.0
-        name = device.name
         try:
-            active_w = device_active_w(name)
+            active_w = device_active_w(device.device)
         except ConfigurationError:
-            stripped = name.split("#")[0].split("-")[0].rstrip("0123456789")
-            try:
-                active_w = device_active_w(stripped) if stripped else 0.0
-            except ConfigurationError:
-                return 0.0
+            return 0.0
         fill = min(device.inflight / device.queue_limit, 1.0) \
             if device.queue_limit else 0.0
         return active_w * fill * device.speed_factor

@@ -163,9 +163,9 @@ class FleetController:
     def _online_keyed(self) -> list[tuple[str, FleetDevice]]:
         """Online members with unique keys (duplicates get ``#n``).
 
-        Fleets may carry identical devices (the ``asic`` mix runs two
-        DPZip engines, both named ``dpzip``); keying by bare name would
-        undercount their power demand and cap only the first one.
+        Fleets built from parts may carry two members with one name;
+        keying by bare name would undercount their power demand and
+        cap only the first one.
         """
         keyed: list[tuple[str, FleetDevice]] = []
         seen: dict[str, int] = {}
@@ -180,7 +180,7 @@ class FleetController:
 
     def fleet_active_w(self) -> dict[str, float]:
         """Active wattage per online fleet member (hw.power catalog)."""
-        return {key: device_active_w(device.name)
+        return {key: device_active_w(device.device)
                 for key, device in self._online_keyed()}
 
     def power_cap(self, budget_w: float) -> dict[str, float]:
@@ -193,7 +193,7 @@ class FleetController:
         ``power_cap`` call also models lifting a cap.
         """
         keyed = self._online_keyed()
-        plan = plan_power_cap({key: device_active_w(device.name)
+        plan = plan_power_cap({key: device_active_w(device.device)
                                for key, device in keyed}, budget_w)
         for key, device in keyed:
             device.set_speed(plan[key])

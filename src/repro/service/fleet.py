@@ -24,6 +24,7 @@ composition; :func:`default_fleet` is the paper's placement mix.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -35,7 +36,7 @@ from repro.hw.engine import CdpuDevice, Placement
 from repro.hw.qat import Qat4xxx, Qat8970
 from repro.service.model import DeviceCostModel, ModeledCost
 from repro.service.request import OffloadRequest
-from repro.sim.engine import Event, Simulator, Store
+from repro.sim.engine import Simulator
 from repro.sim.stats import ThroughputTracker
 from repro.telemetry import DISABLED
 from repro.virt.qos import FairArbiter, FcfsArbiter, VfRequest
@@ -182,8 +183,12 @@ class FleetDevice:
             self._vf_count = None
         self.batcher = Batcher(sim, batch_size, batch_timeout_ns,
                                self._launch_batch)
-        self._batch_queue = Store(sim)
-        sim.call_later(0.0, self._await_batch)
+        # Launched batches in doorbell order.  The head is the batch
+        # ringing now; an empty queue is an idle device.
+        self._batch_queue: deque[list[_Submission]] = deque()
+        register = getattr(sim, "_register_waitable", None)
+        if register is not None:
+            register(self)
         self.state = DeviceState.ONLINE
         #: Brown-out/power-cap derating: fraction of nominal engine
         #: speed (1.0 = healthy).  Served engine occupancy and response
@@ -343,17 +348,17 @@ class FleetDevice:
     # adding, dropping or reordering a hop is a semantic change.
 
     def _launch_batch(self, batch: list[_Submission]) -> None:
-        self.batches_submitted += 1
-        self._batch_queue.put(batch)
-
-    def _await_batch(self) -> None:
         # The submission path is serial per device: each batch rings the
         # doorbell once, so batching amortizes the ring across the batch
         # while back-to-back singleton submissions pay it every time.
-        self._batch_queue.get().add_callback(self._ring)
+        # A batch launched while another rings waits its turn.
+        self.batches_submitted += 1
+        queue = self._batch_queue
+        queue.append(batch)
+        if len(queue) == 1:
+            self.sim.call_later(0.0, partial(self._ring, batch))
 
-    def _ring(self, event: Event) -> None:
-        batch = event.value
+    def _ring(self, batch: list[_Submission]) -> None:
         self.sim.call_later(max(s.cost.submit_ns for s in batch),
                             partial(self._rung, batch))
 
@@ -362,7 +367,10 @@ class FleetDevice:
         serve = self._serve
         for submission in batch:
             call_later(0.0, partial(serve, submission))
-        self._await_batch()
+        queue = self._batch_queue
+        queue.popleft()
+        if queue:
+            call_later(0.0, partial(self._ring, queue[0]))
 
     def _serve(self, submission: _Submission) -> None:
         submission.entry_ns = self.sim.now

@@ -400,9 +400,9 @@ class SchedulerCore:
             # Every online device's predicted completion already blows
             # the deadline: burning fleet capacity on a guaranteed miss
             # starves work that could still make it, so route straight
-            # to the CPU spill path (ROADMAP's deadline-feasibility
-            # spill).  Only taken when the spill valve has room —
-            # dispatching remains better than shedding.
+            # to the CPU spill path (the deadline-feasibility spill).
+            # Only taken when the spill valve has room — dispatching
+            # remains better than shedding.
             self.metrics.slo_stats(request.slo).infeasible += 1
             self.metrics.spilled += 1
             self.spill_device.enqueue(request, hook)

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel and statistics collectors."""
 
-from repro.sim.engine import Event, Process, Simulator, Store
+from repro.sim.engine import Event, Process, Simulator
 from repro.sim.stats import (
     KeyedLatencyRecorder,
     LatencyRecorder,
@@ -17,7 +17,6 @@ __all__ = [
     "LatencyRecorder",
     "Process",
     "Simulator",
-    "Store",
     "ThroughputTracker",
     "TimeSeries",
     "coefficient_of_variation",

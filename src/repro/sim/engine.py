@@ -1,43 +1,39 @@
 """Minimal discrete-event simulation kernel.
 
 A deliberately small, dependency-free engine: the :class:`Simulator`
-advances virtual time in nanoseconds and runs *callbacks* — bare
-callables scheduled with :meth:`Simulator.call_later`, or waiters
-registered on an :class:`Event` with :meth:`Event.add_callback`.
-Device service times are computed by the cycle models in
-:mod:`repro.hw`, so microbenchmark and system-level results share one
-timing source.
+advances virtual time in nanoseconds and runs *callbacks*, bare
+callables scheduled with :meth:`Simulator.call_later`.  ``now``,
+``call_later`` and ``run`` are its whole interface.  Device service
+times are computed by the cycle models in :mod:`repro.hw`, so
+microbenchmark and system-level results share one timing source.
 
 The kernel is the hottest code in the repository — every simulated
 request passes through it six or seven times — so the implementation
-trades a little uniformity for allocation-free fast paths:
+keeps its entries allocation-light:
 
-* an entry's ``item`` is either an :class:`Event` to fire or a bare
-  callable to invoke, so callbacks (data-plane hops, batch timers,
-  late-waiter relays, control-plane actions) schedule without
-  constructing an ``Event`` each;
-* an entry due later than now is a ``(when, seq, item)`` tuple on the
-  heap; an entry due *at* the current instant (a succeeded event, a
-  late waiter, a zero-delay hop — about 40% of all entries) is the
-  bare ``item`` appended to a FIFO deque, the *lane*, so it pays
+* an entry due later than now is a ``(when, seq, callback)`` tuple on
+  the heap; an entry due *at* the current instant (a zero-delay hop, a
+  doorbell ring, an engine completion — about 40% of all entries) is
+  the bare callable appended to a FIFO deque, the *lane*, so it pays
   neither an O(log n) push and pop nor a tuple;
-* ``Event._callbacks`` stores ``None`` / a single callable / a list,
-  in that order of escalation — almost every event has exactly one
-  waiter, so the common case allocates nothing;
 * :meth:`Simulator.run` hoists its lookups and fires every entry of
   an instant from the lane, in one inner loop.
 
 Every simulated activity in the package is a chain of callbacks; a
-loop re-arms itself with ``call_later``.  The per-request path — the
-device submitter and pre/engine/post pipeline, the QoS engine slots,
-the block store and every client — hops with ``functools.partial``
-objects and bound methods, so ``run`` tests for those two types
-first.  The per-run sites — the fleet controller's scheduled actions
-and drain polls, the metrics sampler and the ``virt.tenancy`` tenants
-— are callbacks too.  :class:`Process` (a generator driven by the
-events it yields) remains only because the benchmark harness's tracer
-wraps ``Process._step``; it goes once that harness stops depending on
-it.
+loop re-arms itself with ``call_later``, and a server with nothing
+queued is simply idle rather than parked on a waiter object.  The
+per-request path — the device doorbell queue and pre/engine/post
+pipeline, the QoS engine slots, the block store and every client —
+hops with ``functools.partial`` objects and bound methods, so ``run``
+tests for those two types first.  The per-run sites — the fleet
+controller's scheduled actions and drain polls, the metrics sampler
+and the ``virt.tenancy`` tenants — are callbacks too.
+
+:class:`Event` (a one-shot occurrence with waiters) and
+:class:`Process` (a generator driven by the events it yields) are not
+built by any module in the package.  They remain because the benchmark
+harness's tracer imports ``Process`` and wraps ``Process._step``; the
+run loop still fires an ``Event`` entry, for them and for tests.
 
 Determinism is unchanged: entries fire in ``(when, seq)`` order and
 ``seq`` is a single monotone counter, so two runs of the same seeded
@@ -132,8 +128,9 @@ class Event:
 class Process(Event):
     """A running generator; completes when the generator returns.
 
-    No module in the package spawns one any more; the class stays for
-    the benchmark harness's tracer, which wraps :meth:`_step`.
+    No module in the package builds one; the class (and so
+    :class:`Event`, its base) stays for the benchmark harness's tracer,
+    which wraps :meth:`_step`.
     """
 
     __slots__ = ("_generator",)
@@ -197,29 +194,12 @@ class Simulator:
         """Current virtual time in nanoseconds."""
         return self._now
 
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """Event that triggers ``delay`` ns in the future."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        event = Event(self)
-        event.triggered = True  # scheduled, cannot be re-succeeded
-        event.value = value
-        when = self._now + delay
-        if when == self._now:
-            next(self._sequence)
-            self._lane.append(event)
-        else:
-            heappush(self._queue, (when, next(self._sequence), event))
-        return event
-
     def call_later(self, delay: float,
                    callback: Callable[[], None]) -> None:
         """Run a bare ``callback`` ``delay`` ns in the future.
 
-        The allocation-free sibling of :meth:`timeout` for callers that
-        do not need an :class:`Event` to wait on (batch flush timers,
-        deferred bookkeeping): the callable goes straight onto the
-        queue and is invoked with no arguments when its time comes.
+        The only way to schedule work: the callable goes straight onto
+        the queue and is invoked with no arguments when its time comes.
         A delay that lands on the current instant (zero, or small
         enough to round away at a large clock) puts it on the lane.
         """
@@ -231,14 +211,6 @@ class Simulator:
             self._lane.append(callback)
         else:
             heappush(self._queue, (when, next(self._sequence), callback))
-
-    def event(self) -> Event:
-        """Untriggered event for manual signalling."""
-        return Event(self)
-
-    def spawn(self, generator: Generator[Event, Any, Any]) -> Process:
-        """Start a process from a generator."""
-        return Process(self, generator)
 
     def run(self, until: float | None = None) -> None:
         """Run until nothing is scheduled or virtual time passes ``until``.
@@ -284,34 +256,3 @@ class Simulator:
                 append(heappop(queue)[2])
         if until is not None:
             self._now = max(self._now, until)
-
-
-class Store:
-    """Unbounded FIFO queue of items passed between callbacks."""
-
-    __slots__ = ("sim", "_items", "_getters")
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        register = getattr(sim, "_register_waitable", None)
-        if register is not None:
-            register(self)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)

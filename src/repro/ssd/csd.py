@@ -199,6 +199,7 @@ class DpCsd(_CompressingStorageDevice):
     """DapuStor DP-CSD: DPZip + FTL + NAND, PCIe 5.0 x4."""
 
     name = "dpcsd"
+    power_kind = "dpcsd"
 
     def __init__(self, physical_pages: int = 4096,
                  spec: ControllerSpec | None = None) -> None:
@@ -216,6 +217,7 @@ class DpzipDram(_CompressingStorageDevice):
     """DP-CSD execution path with DRAM in place of NAND (Fig. 12)."""
 
     name = "dpzip-dram"
+    power_kind = "dpzip-engine"
 
     def __init__(self, physical_pages: int = 4096,
                  spec: ControllerSpec | None = None) -> None:
@@ -233,6 +235,7 @@ class PlainSsd(_CompressingStorageDevice):
     """Conventional NVMe SSD (OFF baseline; Figure 20's 'SSD')."""
 
     name = "ssd"
+    power_kind = "ssd"
 
     def __init__(self, physical_pages: int = 4096,
                  spec: ControllerSpec | None = None) -> None:
@@ -256,6 +259,7 @@ class Csd2000(CdpuDevice):
     """
 
     name = "csd2000"
+    power_kind = "csd2000"
     placement = Placement.IN_STORAGE
     engine_count = 1
     queue_depth = 8

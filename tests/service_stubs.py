@@ -23,8 +23,9 @@ class StubDevice(CdpuDevice):
     """Placement/engine shell; timing comes from a synthetic model."""
 
     def __init__(self, name="stub", placement=Placement.PERIPHERAL,
-                 engines=1, queue_depth=1024):
+                 engines=1, queue_depth=1024, power_kind=None):
         self.name = name
+        self.power_kind = power_kind
         self.placement = placement
         self.engine_count = engines
         self.queue_depth = queue_depth

@@ -12,10 +12,10 @@ observes, never perturbs.
 
 import dataclasses
 import json
-from functools import partial
 from pathlib import Path
 
 import pytest
+from service_stubs import StubDevice, flat_model
 
 from repro.analyzers import (
     RULES,
@@ -29,10 +29,18 @@ from repro.analyzers import (
 from repro.analyzers.lint import main as lint_main
 from repro.cluster import Cluster, TelemetrySpec, default_cluster_spec
 from repro.errors import AnalyzerError, SanitizerError, SimulationError
-from repro.sim.engine import Event, Simulator, Store
+from repro.service import FleetDevice, OffloadRequest
+from repro.sim.engine import Event, Process, Simulator
 from repro.virt.qos import FairArbiter, FcfsArbiter, VfRequest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _sleep(sim, delay: float) -> Event:
+    """An event a process yields to wait ``delay`` ns."""
+    event = Event(sim)
+    sim.call_later(delay, event.succeed)
+    return event
 
 
 def _noop() -> None:
@@ -401,10 +409,10 @@ class TestSanitizedSimulator:
         log = []
 
         def worker(sim):
-            yield sim.timeout(5)
+            yield _sleep(sim, 5)
             log.append(sim.now)
 
-        sim.spawn(worker(sim))
+        Process(sim, worker(sim))
         sim.run()
         assert log == [5.0]
         assert sim.entries_checked > 0
@@ -414,11 +422,11 @@ class TestSanitizedSimulator:
             log = []
 
             def worker(sim, delay):
-                yield sim.timeout(delay)
+                yield _sleep(sim, delay)
                 log.append((sim.now, delay))
 
             for delay in (7, 3, 5, 3):
-                sim.spawn(worker(sim, delay))
+                Process(sim, worker(sim, delay))
             sim.run()
             return log
 
@@ -490,8 +498,8 @@ class TestSanitizedSimulator:
 
     def test_post_fire_callback_mutation_raises(self):
         sim = SanitizedSimulator()
-        event = sim.timeout(1.0)
-        evil = sim.timeout(1.0)
+        event = _sleep(sim, 1.0)
+        evil = _sleep(sim, 1.0)
 
         def mutate():
             # Direct mutation of a fired event's callback slot — the
@@ -505,32 +513,39 @@ class TestSanitizedSimulator:
             sim.run()
             sim.finish()
 
-    def test_store_undelivered_items_detected(self):
+    @staticmethod
+    def _doorbell_device(sim) -> FleetDevice:
+        """A one-request-per-batch device whose doorbell takes 100 ns."""
+        return FleetDevice(
+            sim, StubDevice(),
+            flat_model(engine_per_byte_ns=0.01, submit_ns=100.0),
+            batch_size=1, batch_timeout_ns=None)
+
+    def test_unrung_doorbell_batch_detected(self):
+        # Three batches launch at t=0; the run is cut while the first
+        # still rings, so the device holds all three.
         sim = SanitizedSimulator()
-        store = Store(sim)
-        store.put("orphan")
-        sim.run()
-        with pytest.raises(SanitizerError, match="undelivered item"):
+        device = self._doorbell_device(sim)
+        for tenant in range(3):
+            device.enqueue(OffloadRequest(tenant=tenant, nbytes=100))
+        sim.run(until=50)
+        with pytest.raises(SanitizerError,
+                           match="FleetDevice ended the run with 3 "
+                                 "launched batch"):
             sim.finish()
 
-    def test_parked_getter_is_not_a_leak(self):
-        # Perpetual server loops end every run blocked on their next
-        # work item; that must not trip the auditor.
-        sim = SanitizedSimulator()
-        store = Store(sim)
-        store.get()
-        sim.run()
-        sim.finish()
-
     def test_clean_run_finishes_quietly(self):
+        # Every batch rang and served; the idle device is no leak.
         sim = SanitizedSimulator()
-        store = Store(sim)
-        got = []
-        store.get().add_callback(lambda event: got.append(event.value))
-        sim.call_later(3, partial(store.put, "item"))
+        device = self._doorbell_device(sim)
+        done = []
+        for tenant in range(3):
+            device.enqueue(OffloadRequest(tenant=tenant, nbytes=100),
+                           on_complete=lambda r, dev, cost:
+                           done.append(r.tenant))
         sim.run()
         sim.finish()
-        assert got == ["item"]
+        assert done == [0, 1, 2]
 
     def test_fcfs_blocked_submissions_detected(self):
         # One engine, ceiling 1: the first request is served, the second

@@ -6,6 +6,7 @@ small real cluster from a spec to exercise device construction and
 calibration caching.
 """
 
+import dataclasses
 import json
 import math
 
@@ -24,9 +25,10 @@ from repro.cluster import (
     SloSpec,
     StoreSpec,
     build_device,
+    default_cluster_spec,
 )
 from repro.cluster.session import _DEVICE_BUILDERS
-from repro.errors import ClusterError, ClusterSpecError
+from repro.errors import ClusterError, ClusterSpecError, ServiceError
 from repro.service import (
     FleetDevice,
     OpenLoopStream,
@@ -468,6 +470,21 @@ class TestReconfigSchedule:
         assert fleet[0].speed_factor == 0.5
         assert [event[1] for event in cluster.controller.events] \
             == ["brown-out"]
+
+
+    def test_unknown_target_fails_the_build(self):
+        # A target no member carries is the error the controller would
+        # raise at the event's time; it now stops from_spec, before
+        # simulated time 0.  Known targets and power caps still build.
+        spec = dataclasses.replace(default_cluster_spec(), reconfig=(
+            ReconfigEvent(1.5e5, "brown-out", "nope", speed_factor=0.5),))
+        with pytest.raises(ServiceError, match="no fleet device named "
+                                               "'nope'"):
+            Cluster.from_spec(spec)
+        spec = dataclasses.replace(spec, reconfig=(
+            ReconfigEvent(1.5e5, "brown-out", "qat8970", speed_factor=0.5),
+            ReconfigEvent(2e5, "power-cap", budget_w=50.0)))
+        assert Cluster.from_spec(spec).sim.now == 0.0
 
 
 class TestFromSpecIntegration:

@@ -4,9 +4,15 @@ power capping — all while the data plane keeps serving."""
 import pytest
 
 from service_stubs import StubDevice, flat_model
+from repro.cluster import Cluster, ClusterSpec, FleetSpec
 from repro.errors import ConfigurationError, ServiceError
+from repro.experiments.service_scaling import MIXES, SPILL
+from repro.hw.cpu import CpuSoftwareDevice
+from repro.hw.dpzip import DpzipEngine
 from repro.hw.engine import Placement
 from repro.hw.power import device_active_w, plan_power_cap
+from repro.hw.qat import Qat8970
+from repro.profiling import PowerMeter
 from repro.service import (
     DeviceState,
     FleetController,
@@ -242,11 +248,33 @@ class TestBrownOut:
 
 class TestPowerBudgets:
     def test_device_active_watts_catalog(self):
-        assert device_active_w("qat8970") == pytest.approx(35.0)
-        assert device_active_w("dpzip") == pytest.approx(2.5)
-        assert device_active_w("cpu-deflate") == pytest.approx(132.0)
+        assert device_active_w(Qat8970()) == pytest.approx(35.0)
+        assert device_active_w(DpzipEngine()) == pytest.approx(2.5)
+        assert device_active_w(CpuSoftwareDevice("deflate")) \
+            == pytest.approx(132.0)
         with pytest.raises(ConfigurationError):
-            device_active_w("toaster")
+            device_active_w(StubDevice(name="toaster"))
+        # Keyed on kind, not name: a renamed member draws what its kind
+        # draws, and a name matching a catalogue entry buys nothing.
+        renamed = DpzipEngine()
+        renamed.name = "dpzip0"
+        assert device_active_w(renamed) == pytest.approx(2.5)
+        with pytest.raises(ConfigurationError, match="'qat8970'"):
+            device_active_w(StubDevice(name="qat8970"))
+
+    def test_meter_prices_renamed_members_by_kind(self):
+        sim = Simulator()
+        renamed = FleetDevice(sim, StubDevice(name="dpzip0",
+                                              power_kind="dpzip-engine"),
+                              flat_model(0.01), queue_limit=4)
+        unknown = FleetDevice(sim, StubDevice(name="toaster"),
+                              flat_model(0.01), queue_limit=4)
+        for device in (renamed, unknown):
+            device.enqueue(request())
+        # Full draw at a quarter fill; no catalogue entry draws nothing.
+        meter = PowerMeter()
+        assert meter.device_draw_w(renamed) == pytest.approx(2.5 / 4)
+        assert meter.device_draw_w(unknown) == 0.0
 
     def test_plan_under_budget_is_identity(self):
         plan = plan_power_cap({"a": 10.0, "b": 20.0}, budget_w=50.0)
@@ -269,10 +297,12 @@ class TestPowerBudgets:
 class TestPowerCap:
     def _qat_pair_service(self, sim):
         fleet = [
-            FleetDevice(sim, StubDevice(name="qat8970"), flat_model(0.01),
-                        queue_limit=4, batch_size=1),
-            FleetDevice(sim, StubDevice(name="qat4xxx"), flat_model(0.02),
-                        queue_limit=4, batch_size=1),
+            FleetDevice(sim, StubDevice(name="qat8970",
+                                        power_kind="qat8970"),
+                        flat_model(0.01), queue_limit=4, batch_size=1),
+            FleetDevice(sim, StubDevice(name="qat4xxx",
+                                        power_kind="qat4xxx"),
+                        flat_model(0.02), queue_limit=4, batch_size=1),
         ]
         return SchedulerCore(sim, fleet, "cost-model"), fleet
 
@@ -294,10 +324,11 @@ class TestPowerCap:
         assert all(d.speed_factor == 1.0 for d in fleet)
 
     def test_duplicate_device_names_fully_counted_and_capped(self):
-        # The 'asic' mix carries two identical DPZip engines; both must
-        # contribute to demand and both must be derated.
+        # A fleet built from parts may carry two identical DPZip
+        # engines; both must contribute to demand and be derated.
         sim = Simulator()
-        fleet = [FleetDevice(sim, StubDevice(name="dpzip"),
+        fleet = [FleetDevice(sim, StubDevice(name="dpzip",
+                                             power_kind="dpzip-engine"),
                              flat_model(0.01), queue_limit=4, batch_size=1)
                  for _ in range(2)]
         service = SchedulerCore(sim, fleet, "cost-model")
@@ -307,6 +338,22 @@ class TestPowerCap:
         plan = controller.power_cap(2.5)  # half of the 5 W demand
         assert plan == {"dpzip": 0.5, "dpzip#2": 0.5}
         assert all(d.speed_factor == 0.5 for d in fleet)
+
+    def test_asic_mix_can_be_power_capped(self):
+        # service_scaling's "asic" mix renames its DPZip engines; the
+        # cap prices them by kind: 35 + 15 + 2 x 2.5 = 55 W of demand.
+        def asic_cluster(budget_w):
+            return Cluster.from_spec(ClusterSpec(
+                fleet=FleetSpec(devices=MIXES["asic"], spill=SPILL),
+                power_budget_w=budget_w))
+
+        controller = asic_cluster(200.0).controller
+        assert controller.fleet_active_w() == {
+            "qat8970": 35.0, "qat4xxx": 15.0, "dpzip0": 2.5, "dpzip1": 2.5}
+        assert {d.speed_factor for d in controller.scheduler.devices} \
+            == {1.0}
+        capped = asic_cluster(27.5).controller
+        assert {d.speed_factor for d in capped.scheduler.devices} == {0.5}
 
     def test_ambiguous_device_name_rejected(self):
         sim = Simulator()

@@ -443,6 +443,50 @@ class TestDataPlaneChain:
         assert run(None) == [(0, 1000.0), (0, 2000.0), (1, 3000.0)]
 
 
+class _ServeLog(FleetDevice):
+    """A fleet device that logs each serve hop as ``(tenant, time)``."""
+
+    __slots__ = ("served",)
+
+    def _serve(self, submission) -> None:
+        self.served.append((submission.request.tenant, self.sim.now))
+        super()._serve(submission)
+
+
+class TestDoorbellQueue:
+    """The serial doorbell queue: one ring per launched batch, in launch
+    order, with the device idle once the queue empties."""
+
+    def test_back_to_back_batches_ring_in_fifo_order(self):
+        # batch_size=1: each enqueue launches a batch at once.  Three
+        # launch at t=0 and one at t=150, while the second still rings;
+        # each ring takes the model's 100 ns submit cost.
+        sim = Simulator()
+        device = _ServeLog(
+            sim, StubDevice(engines=4),
+            flat_model(engine_per_byte_ns=0.01, submit_ns=100.0),
+            batch_size=1, batch_timeout_ns=None)
+        device.served = []
+        for tenant in range(3):
+            device.enqueue(request(tenant=tenant))
+        # The first rings; the other two wait behind it.
+        assert len(device._batch_queue) == 3
+        sim.call_later(150.0, lambda: device.enqueue(request(tenant=3)))
+        idle_at = []
+        sim.call_later(450.0, lambda: idle_at.append(
+            (len(device._batch_queue), device.inflight)))
+        # Once idle, a new batch rings at once: it pays only its own
+        # submit cost, from its launch at t=1000.
+        sim.call_later(1000.0, lambda: device.enqueue(request(tenant=4)))
+        sim.run()
+        # FIFO, one submit cost per batch, serve hops in batch order.
+        assert device.served == [(0, 100.0), (1, 200.0), (2, 300.0),
+                                 (3, 400.0), (4, 1100.0)]
+        assert idle_at == [(0, 0)]
+        assert not device._batch_queue
+        assert device.batches_submitted == device.completed == 5
+
+
 class TestBackpressure:
     def test_queue_limit_enforced_on_direct_enqueue(self):
         sim = Simulator()

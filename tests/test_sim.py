@@ -4,16 +4,18 @@ import heapq
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import (
+    Event,
     KeyedLatencyRecorder,
     LatencyRecorder,
+    Process,
     Simulator,
-    Store,
     ThroughputTracker,
     TimeSeries,
     coefficient_of_variation,
@@ -22,60 +24,66 @@ from repro.sim import (
 )
 
 
+def sleep(sim, delay: float, value=None, new_event=Event):
+    """An event a process can yield to wait ``delay`` ns: a kernel
+    callback succeeds it when the time comes."""
+    event = new_event(sim)
+    sim.call_later(delay, partial(event.succeed, value))
+    return event
+
+
 class TestSimulator:
     def test_timeout_advances_clock(self):
         sim = Simulator()
         log = []
-
-        def proc(sim):
-            yield sim.timeout(10)
-            log.append(sim.now)
-
-        sim.spawn(proc(sim))
+        sim.call_later(10, lambda: log.append(sim.now))
         sim.run()
         assert log == [10.0]
 
     def test_run_until_stops_early(self):
         sim = Simulator()
-
-        def proc(sim):
-            yield sim.timeout(100)
-
-        sim.spawn(proc(sim))
+        log = []
+        sim.call_later(100, lambda: log.append(sim.now))
         sim.run(until=50)
-        assert sim.now == 50
+        assert sim.now == 50 and log == []
 
     def test_ordering_is_fifo_at_same_time(self):
         sim = Simulator()
         log = []
-
-        def proc(sim, name):
-            yield sim.timeout(5)
-            log.append(name)
-
-        sim.spawn(proc(sim, "a"))
-        sim.spawn(proc(sim, "b"))
+        for name in ("a", "b"):
+            sim.call_later(5, partial(log.append, name))
         sim.run()
         assert log == ["a", "b"]
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().timeout(-1)
+        # Also from inside a run, with the clock past zero: nothing is
+        # scheduled and the run ends at the clock.
+        sim = Simulator()
+        errors = []
+
+        def schedule_backwards():
+            with pytest.raises(SimulationError):
+                sim.call_later(-1, lambda: errors.append("ran"))
+            errors.append(sim.now)
+
+        sim.call_later(10, schedule_backwards)
+        sim.run()
+        assert errors == [10.0] and sim.now == 10.0
 
     def test_process_waits_on_process(self):
         sim = Simulator()
         log = []
 
         def child(sim):
-            yield sim.timeout(7)
+            yield sleep(sim, 7)
             log.append("child")
             return 42
 
         def parent(sim):
-            value = yield sim.spawn(child(sim))
+            value = yield Process(sim, child(sim))
             log.append(("parent", value))
 
-        sim.spawn(parent(sim))
+        Process(sim, parent(sim))
         sim.run()
         assert log == ["child", ("parent", 42)]
 
@@ -87,39 +95,37 @@ class TestSimulator:
             return
             yield  # pragma: no cover - makes this a generator
 
-        child = sim.spawn(immediate(sim))
+        child = Process(sim, immediate(sim))
 
         def parent(sim):
-            yield sim.timeout(5)
+            yield sleep(sim, 5)
             yield child  # child finished long ago; must not deadlock
             log.append(sim.now)
 
-        sim.spawn(parent(sim))
+        Process(sim, parent(sim))
         sim.run()
         assert log == [5.0]
 
     def test_event_double_succeed_rejected(self):
         sim = Simulator()
-        event = sim.event()
+        event = Event(sim)
         event.succeed()
         with pytest.raises(SimulationError):
             event.succeed()
 
     def test_callables_and_events_share_fifo_order(self):
-        # The queue mixes Events and bare callables; both must fire in
-        # scheduling order at a shared timestamp.
+        # The lane mixes Events and bare callables; both must fire in
+        # scheduling order at a shared timestamp.  The event joins the
+        # lane when it is succeeded, behind the callable already there.
         sim = Simulator()
         log = []
-
-        def proc(sim):
-            yield sim.timeout(5)  # scheduled at t=0, after both timers
-            log.append("proc")
-
+        event = Event(sim)
+        event.add_callback(lambda e: log.append(e.value))
         sim.call_later(5, lambda: log.append("first"))
-        sim.spawn(proc(sim))
+        sim.call_later(5, partial(event.succeed, "event"))
         sim.call_later(5, lambda: log.append("second"))
         sim.run()
-        assert log == ["first", "second", "proc"]
+        assert log == ["first", "second", "event"]
 
     def test_call_later_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
@@ -130,14 +136,10 @@ class TestSimulator:
         # callback (at the current time), with the event's value.
         sim = Simulator()
         log = []
-        event = sim.timeout(3, value="payload")
-
-        def proc(sim):
-            yield sim.timeout(10)
-            event.add_callback(lambda e: log.append((sim.now, e.value)))
-            yield sim.timeout(1)
-
-        sim.spawn(proc(sim))
+        event = Event(sim)
+        sim.call_later(3, partial(event.succeed, "payload"))
+        sim.call_later(10, lambda: event.add_callback(
+            lambda e: log.append((sim.now, e.value))))
         sim.run()
         assert log == [(10.0, "payload")]
 
@@ -146,20 +148,15 @@ class TestSimulator:
         # waiters cover every branch and must resume in wait order.
         sim = Simulator()
         log = []
-        gate = sim.event()
+        gate = Event(sim)
 
         def waiter(sim, name):
             value = yield gate
             log.append((name, value))
 
         for name in ("a", "b", "c"):
-            sim.spawn(waiter(sim, name))
-
-        def trigger(sim):
-            yield sim.timeout(4)
-            gate.succeed("go")
-
-        sim.spawn(trigger(sim))
+            Process(sim, waiter(sim, name))
+        sim.call_later(4, partial(gate.succeed, "go"))
         sim.run()
         assert log == [("a", "go"), ("b", "go"), ("c", "go")]
 
@@ -219,6 +216,23 @@ class _RefEvent:
             callback(self)
 
 
+def _ref_process(sim: "_HeapKernel", generator) -> _RefEvent:
+    """Process of :class:`_HeapKernel`: a generator driven by the
+    events it yields, completing with its return value."""
+    process = _RefEvent(sim)
+
+    def step(value) -> None:
+        try:
+            target = generator.send(value)
+        except StopIteration as stop:
+            process.succeed(stop.value)
+            return
+        target.add_callback(lambda event: step(event.value))
+
+    sim.call_later(0.0, lambda: step(None))
+    return process
+
+
 class _HeapKernel:
     """Reference kernel: every entry, same-instant ones included, is a
     ``(when, seq, callable)`` heap tuple popped one at a time."""
@@ -231,30 +245,6 @@ class _HeapKernel:
     def call_later(self, delay, callback) -> None:
         heapq.heappush(self._heap, (self.now + delay, next(self._sequence),
                                     callback))
-
-    def event(self) -> _RefEvent:
-        return _RefEvent(self)
-
-    def timeout(self, delay, value=None) -> _RefEvent:
-        event = _RefEvent(self)
-        event.triggered = True
-        event.value = value
-        self.call_later(delay, event._fire)
-        return event
-
-    def spawn(self, generator) -> _RefEvent:
-        process = _RefEvent(self)
-
-        def step(value) -> None:
-            try:
-                target = generator.send(value)
-            except StopIteration as stop:
-                process.succeed(stop.value)
-                return
-            target.add_callback(lambda event: step(event.value))
-
-        self.call_later(0.0, lambda: step(None))
-        return process
 
     def run(self, until=None) -> None:
         while self._heap:
@@ -287,9 +277,10 @@ _PROGRAMS = st.tuples(
 )
 
 
-def _play(sim, program):
-    """Run ``program`` on ``sim``; return the firing log and the number
-    of entries the kernel scheduled."""
+def _play(sim, new_event, new_process, program):
+    """Run ``program`` on ``sim``, building events with ``new_event(sim)``
+    and processes with ``new_process(sim, generator)``; return the
+    firing log and the number of entries the kernel scheduled."""
     large_clock, segments = program
     log = []
     events = []  # plain events an op may succeed
@@ -308,11 +299,11 @@ def _play(sim, program):
         if kind == "later":
             sim.call_later(delay, fire)
         elif kind == "timeout":
-            timeout = sim.timeout(delay, token)
-            timeout.add_callback(fire)
-            waitables.append(timeout)
+            timer = sleep(sim, delay, token, new_event)
+            timer.add_callback(fire)
+            waitables.append(timer)
         elif kind == "event":
-            event = sim.event()
+            event = new_event(sim)
             event.add_callback(fire)
             events.append(event)
             waitables.append(event)
@@ -327,14 +318,14 @@ def _play(sim, program):
         else:
             def process():
                 log.append((token, "start", sim.now))
-                yield sim.timeout(delay)
+                yield sleep(sim, delay, new_event=new_event)
                 if waitables:
                     value = yield waitables[pick % len(waitables)]
                     log.append((token, "woke", value, sim.now))
                 fire()
                 return token
 
-            waitables.append(sim.spawn(process()))
+            waitables.append(new_process(sim, process()))
 
     if large_clock:
         sim.run(until=1e12)
@@ -354,43 +345,11 @@ class TestKernelOrder:
         """The lane kernel fires in exactly ``(when, seq)`` order: the
         same order, and the same number of entries, as a heap-only
         kernel, for zero, rounding and positive delays, events
-        succeeded inside and outside ``run``, late waiters, processes
-        and ``run(until=...)`` split over several calls."""
-        assert _play(Simulator(), program) == _play(_HeapKernel(), program)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer(sim):
-            item = yield store.get()
-            got.append(item)
-
-        store.put("x")
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer(sim):
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def producer(sim):
-            yield sim.timeout(8)
-            store.put("y")
-
-        sim.spawn(consumer(sim))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert got == [("y", 8.0)]
+        succeeded inside and outside ``run``, timer events, late
+        waiters, processes and ``run(until=...)`` split over several
+        calls."""
+        assert (_play(Simulator(), Event, Process, program)
+                == _play(_HeapKernel(), _RefEvent, _ref_process, program))
 
 
 class TestStats:
